@@ -1,9 +1,16 @@
 """Lossless, line-oriented text checkpoints.
 
-Layout: a magic line ``LPAT-CKPT v1``, one ``arch`` line with the five layer
+Layout: a magic line ``LPAT-CKPT v2``, one ``arch`` line with the five layer
 widths, optional ``meta key value`` lines, then one block per parameter
-tensor (``tensor <name> <rows> [<cols>]`` followed by rows of hexadecimal
-float literals), closed by an ``end`` line. Hex floats round-trip bit-exactly.
+tensor (``tensor <name> <rows> [<cols>]`` followed by one line per row),
+closed by an ``end`` line.
+
+v2 writes each float64 as the 16 hex digits of its big-endian bit pattern,
+values separated by one space, so a row of ``cols`` values is exactly
+``17 * cols - 1`` characters and a whole tensor decodes in one
+``bytes.fromhex``. v1 files, whose rows hold ``float.hex`` literals, keep
+loading; only the v2 encoding is written. Both round-trip bit-exactly, and
+a tensor holding a non-finite value is rejected on load.
 """
 
 from __future__ import annotations
@@ -13,9 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from .hexrows import HexRowError, decode_rows, encode_row
 from .model import DenseParams, LstmParams, Network
 
-MAGIC = "LPAT-CKPT v1"
+MAGIC = "LPAT-CKPT v2"
+MAGIC_V1 = "LPAT-CKPT v1"
 ARCH_KEYS = ("n_attrs", "hidden1", "hidden2", "lstm_units", "classes")
 
 
@@ -35,10 +44,6 @@ class CheckpointTruncatedError(CheckpointError):
     """File ends before all tensors (or the end marker) were read."""
 
 
-def _hex_row(row: np.ndarray) -> str:
-    return " ".join(float(x).hex() for x in row)
-
-
 def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -> None:
     """Write ``net`` to ``path``; ``meta`` holds extra single-line strings
     (e.g. the training window, attribute list and scaling) carried verbatim."""
@@ -52,12 +57,36 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
     for name, arr in net.params().items():
         if arr.ndim == 1:
             lines.append(f"tensor {name} {arr.shape[0]}")
-            lines.append(_hex_row(arr))
+            lines.append(encode_row(arr))
         else:
             lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-            lines.extend(_hex_row(row) for row in arr)
+            lines.extend(encode_row(row) for row in arr)
     lines.append("end")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _decode_block(rows: list[str], cols: int, v1: bool, where: str) -> np.ndarray:
+    """(len(rows), cols) values of one tensor in the v1 or the v2 encoding."""
+    if not v1:
+        try:
+            return decode_rows(rows, cols)
+        except HexRowError as exc:
+            if exc.values != cols:
+                raise CheckpointTruncatedError(
+                    f"{where} row {exc.row} has {exc.values} values, expected {cols}") from None
+            raise CheckpointFormatError(
+                f"{where} row {exc.row} holds a non-hex-float value") from None
+    block = np.empty((len(rows), cols))
+    for r, line in enumerate(rows):
+        vals = line.split()
+        if len(vals) != cols:
+            raise CheckpointTruncatedError(
+                f"{where} row {r} has {len(vals)} values, expected {cols}")
+        try:
+            block[r] = [float.fromhex(v) for v in vals]
+        except ValueError:
+            raise CheckpointFormatError(f"{where} row {r} holds a non-hex-float value") from None
+    return block
 
 
 def _tensor_shapes(dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
@@ -82,8 +111,9 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"{path}: not a text checkpoint ({exc})") from None
     lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
+    if not lines or lines[0] not in (MAGIC, MAGIC_V1):
         raise CheckpointFormatError(f"{path}: missing magic line {MAGIC!r}")
+    v1 = lines[0] == MAGIC_V1
     if len(lines) < 2 or not lines[1].startswith("arch "):
         raise CheckpointTruncatedError(f"{path}: no architecture line")
     arch_tokens = lines[1].split()[1:]
@@ -132,22 +162,12 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
                 f"{path}:{i + 1}: tensor {name} has shape {shape}, arch implies {shapes[name]}")
         rows = 1 if len(shape) == 1 else shape[0]
         cols = shape[0] if len(shape) == 1 else shape[1]
-        if i + rows >= len(lines) + 1:
+        block_lines = lines[i + 1:i + 1 + rows]
+        if len(block_lines) < rows:
             raise CheckpointTruncatedError(f"{path}: tensor {name} cut short")
-        block = np.empty(shape)
-        flat = block.reshape(rows, cols)
-        for r in range(rows):
-            if i + 1 + r >= len(lines):
-                raise CheckpointTruncatedError(f"{path}: tensor {name} cut short")
-            vals = lines[i + 1 + r].split()
-            if len(vals) != cols:
-                raise CheckpointTruncatedError(
-                    f"{path}: tensor {name} row {r} has {len(vals)} values, expected {cols}")
-            try:
-                flat[r] = [float.fromhex(v) for v in vals]
-            except ValueError:
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name} row {r} holds a non-hex-float value") from None
+        block = _decode_block(block_lines, cols, v1, f"{path}: tensor {name}").reshape(shape)
+        if not np.isfinite(block).all():
+            raise CheckpointFormatError(f"{path}: tensor {name} holds a non-finite value")
         tensors[name] = block
         i += 1 + rows
     if not saw_end:

@@ -9,6 +9,7 @@ success; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -309,9 +310,12 @@ def _read_window_csv(path, attrs, w: int) -> np.ndarray:
         rows = []
         for line_no, row in enumerate(reader, start=2):
             try:
-                rows.append([float(row[col[a]]) for a in attrs])
+                values = [float(row[col[a]]) for a in attrs]
             except (ValueError, IndexError):
                 raise CliError(f"{path}:{line_no}: malformed row") from None
+            if not all(map(math.isfinite, values)):
+                raise CliError(f"{path}:{line_no}: non-finite value")
+            rows.append(values)
     if len(rows) != w:
         raise CliError(f"{path}: expected exactly {w} rows "
                        f"(the trained window length), got {len(rows)}")

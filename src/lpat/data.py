@@ -101,8 +101,8 @@ def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS,
 
     Missing cells stay None until cleaning. Rows dated after a drive's
     failure row are dropped so the failure date always closes the timeline.
-    Unparseable rows raise RowError with their line number, or are skipped
-    when ``lenient`` is set.
+    Unparseable rows, and rows with a ``nan`` or ``inf`` cell, raise RowError
+    with their line number, or are skipped when ``lenient`` is set.
     """
     attr_list = tuple(attr_list)
     rows_by_serial: dict[str, list[SmartRecord]] = {}
@@ -162,9 +162,12 @@ def _parse_row(row, col, attr_idx, attr_list, line_no) -> SmartRecord:
             attrs.append(None)
         else:
             try:
-                attrs.append(float(raw))
+                value = float(raw)
             except ValueError:
                 raise RowError(line_no, f"bad value {raw!r} in column {name!r}") from None
+            if not math.isfinite(value):
+                raise RowError(line_no, f"non-finite value {raw!r} in column {name!r}")
+            attrs.append(value)
     return SmartRecord(serial=serial, date=day, model=cell("model"),
                        failure=failure_raw == "1", attrs=tuple(attrs))
 

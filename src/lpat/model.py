@@ -147,7 +147,11 @@ def init_network(n_attrs: int, hidden1: int = 128, hidden2: int = 128,
 class ForwardCache:
     """Everything backward needs: per-point activations (post-perturbation,
     i.e. exactly what fed the next layer), LSTM internals per step, and the
-    output distribution. Arrays carry a leading batch dimension."""
+    output distribution. Arrays carry a leading batch dimension.
+
+    The LSTM internals are stored time-major, (w, B, .), and kept here as
+    (B, w, .) views, so ``gates[:, t]`` and the other per-step slices are
+    contiguous blocks."""
 
     xhat: dict[int, np.ndarray]
     gates: np.ndarray   # (B, w, 4q) activated gate values i,f,o,j
@@ -203,30 +207,39 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
 
 def _lstm_forward(p: LstmParams, x: np.ndarray):
-    """Run the LSTM over (B, w, d) inputs; returns per-step internals."""
-    B, w, _ = x.shape
+    """Run the LSTM over (B, w, d) inputs; returns per-step internals.
+
+    Storage is time-major, (w, B, .), so each step reads and writes
+    contiguous (B, .) blocks; the returned arrays are (B, w, .) views of it.
+    """
+    B, w, d = x.shape
     q = p.units
-    pre = x @ p.W.T + p.b  # input contribution for every step at once
-    gates = np.empty((B, w, 4 * q))
-    c = np.empty((B, w, q))
-    tanh_c = np.empty((B, w, q))
-    h = np.empty((B, w, q))
-    h_prev = np.zeros((B, q))
-    c_prev = np.zeros((B, q))
+    # input contribution for every step at once, in one (w*B, d) GEMM; the
+    # gate math below then overwrites it in place step by step
+    if w > 1:
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
+        gates = (x_tm @ p.W.T).reshape(w, B, 4 * q)
+    else:
+        # numpy sends a stack of single rows through GEMV, which sums in
+        # another order than GEMM; keep that call so every window length
+        # gives the same bits as the per-sample product
+        gates = (x @ p.W.T).reshape(1, B, 4 * q)
+    gates += p.b
+    c = np.empty((w, B, q))
+    tanh_c = np.empty((w, B, q))
+    h = np.empty((w, B, q))
     for t in range(w):
-        a = pre[:, t] + h_prev @ p.U.T
-        g = np.empty((B, 4 * q))
-        g[:, :3 * q] = sigmoid(a[:, :3 * q])
-        g[:, 3 * q:] = np.tanh(a[:, 3 * q:])
-        c_t = g[:, :q] * g[:, 3 * q:] + g[:, q:2 * q] * c_prev
-        tc = np.tanh(c_t)
-        h_t = g[:, 2 * q:3 * q] * tc
-        gates[:, t] = g
-        c[:, t] = c_t
-        tanh_c[:, t] = tc
-        h[:, t] = h_t
-        h_prev, c_prev = h_t, c_t
-    return gates, c, tanh_c, h
+        g = gates[t]
+        if t > 0:  # h_0 = c_0 = 0: step 0 has no recurrent or forget term
+            g += h[t - 1] @ p.U.T
+        sigmoid(g[:, :3 * q], out=g[:, :3 * q])
+        np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
+        np.multiply(g[:, :q], g[:, 3 * q:], out=c[t])
+        if t > 0:
+            c[t] += g[:, q:2 * q] * c[t - 1]
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(g[:, 2 * q:3 * q], tanh_c[t], out=h[t])
+    return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
 
 
 def _check_pert_shapes(perts: dict, shapes: dict[int, tuple]) -> None:

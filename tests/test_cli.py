@@ -173,6 +173,18 @@ def test_predict_malformed_row_errors_without_stdout(fixture_pipeline,
     assert code == 1 and out == "" and "malformed" in err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_predict_non_finite_cell_errors_naming_the_line(fixture_pipeline, capsys,
+                                                        tmp_path, cell):
+    _, _, ckpt_path, _ = fixture_pipeline
+    window_csv = tmp_path / "w.csv"
+    window_csv.write_text(f"smart_5_raw,smart_187_raw\n5,{cell}\n")
+    code, out, err = run(capsys, "predict", "--checkpoint", str(ckpt_path),
+                         "--window", str(window_csv))
+    assert code == 1 and out == ""
+    assert f"{window_csv}:2: non-finite value" in err
+
+
 def test_train_mode_at_with_unlabeled_pool_is_a_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "fleet.csv"
     cache_path = tmp_path / "fleet.cache"

@@ -65,6 +65,20 @@ def test_ingest_bad_row_reports_line_number_and_lenient_skips(tmp_path):
     assert len(tls) == 1 and len(tls[0].records) == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_ingest_non_finite_cell_is_a_row_error_and_lenient_skips(tmp_path, cell):
+    p = tmp_path / "nan.csv"
+    p.write_text(
+        "date,serial_number,model,capacity_bytes,failure,smart_5_raw\n"
+        "2016-01-01,A,M,1,0,5\n"
+        f"2016-01-02,A,M,1,0,{cell}\n"
+        "2016-01-03,A,M,1,0,7\n")
+    with pytest.raises(data.RowError, match="line 3: non-finite value"):
+        data.ingest_csv(p, ["smart_5_raw"])
+    tls = data.ingest_csv(p, ["smart_5_raw"], lenient=True)
+    assert [r.attrs for r in tls[0].records] == [(5.0,), (7.0,)]
+
+
 def test_ingest_missing_cell_becomes_none(tmp_path):
     p = tmp_path / "gap.csv"
     p.write_text(
@@ -422,6 +436,82 @@ def test_cache_rejects_bad_magic_and_truncation(tmp_path):
     p.write_text("\n".join(lines[:-10]) + "\n")
     with pytest.raises(cache.CacheFormatError):
         cache.load_split(p)
+
+
+def _special_split():
+    """A two-sample split whose values include -0.0, a subnormal and the
+    largest finite floats of both signs."""
+    top = np.finfo(float).max
+    a = np.array([[-0.0, 5e-324], [top, -top], [0.25, 1.0 / 3.0]])
+    b = np.array([[1.0, 0.0], [2.0 ** -1070, 0.5], [0.75, 1e-300]])
+    return data.DatasetSplit(
+        train_labeled=[data.Sample(a, 2, "S1", date(2016, 3, 1))],
+        train_unlabeled=[], valid=[],
+        test=[data.Sample(b, None, "S2", date(2016, 3, 2))],
+        scaling=data.ScalingParams([-top, -0.0], [top, 5e-324]),
+        attrs=("smart_5_raw", "smart_9_raw"), window=3)
+
+
+def _edit_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_cache_v2_round_trip_is_bit_exact_for_special_values(tmp_path):
+    split = _special_split()
+    path = tmp_path / "s.cache"
+    cache.save_split(split, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "LPAT-DATA v2"
+    assert lines[7] == "8000000000000000 0000000000000001"
+    back = cache.load_split(path)
+    assert back.scaling.v_min.tobytes() == split.scaling.v_min.tobytes()
+    assert back.scaling.v_max.tobytes() == split.scaling.v_max.tobytes()
+    for part in cache.SECTIONS:
+        for sa, sb in zip(getattr(split, part), getattr(back, part), strict=True):
+            assert (sa.serial, sa.window_end, sa.label) == (sb.serial, sb.window_end, sb.label)
+            assert sa.features.tobytes() == sb.features.tobytes()
+
+
+def test_cache_v1_is_refused_with_a_pointer_to_prep(tmp_path):
+    p = tmp_path / "old.cache"
+    p.write_text("LPAT-DATA v1\nattrs a\nwindow 1\nvmin 0.0\nvmax 1.0\n")
+    with pytest.raises(cache.CacheFormatError, match="lpat prep"):
+        cache.load_split(p)
+
+
+# line 7 is the header of sample S1, lines 8-10 its feature rows
+@pytest.mark.parametrize("lineno, text, match", [
+    (7, "sample S1 2016-03-01 7", "bad label '7' at line 7"),
+    (7, "sample S1 2016-03-01 -1", "bad label '-1' at line 7"),
+    (9, "7ff8000000000000 0000000000000000", "line 9 holds a non-finite value"),
+    (9, "0000000000000000 fff0000000000000", "line 9 holds a non-finite value"),
+    (4, "vmin fff0000000000000 0000000000000000", "line 4 holds a non-finite value"),
+    (5, "vmax 7ff8000000000000 0000000000000000", "line 5 holds a non-finite value"),
+    # 14 and 18 digits: the row keeps its length, the separator moves
+    (9, "3ff00000000000 000000000000000000", "line 9 holds a value that is not 16"),
+    (9, "3ff000000000000g 0000000000000000", "line 9 holds a value that is not 16"),
+    (9, "3ff0000000000000", "line 9 holds 1 values, expected 2"),
+])
+def test_cache_rejects_bad_values_naming_the_line(tmp_path, lineno, text, match):
+    path = tmp_path / "s.cache"
+    cache.save_split(_special_split(), path)
+    _edit_line(path, lineno, text)
+    with pytest.raises(cache.CacheFormatError, match=match):
+        cache.load_split(path)
+
+
+def test_cache_rejects_a_value_moved_to_the_next_row(tmp_path):
+    # the joined block is unchanged, so only the per-row width check sees it
+    path = tmp_path / "s.cache"
+    cache.save_split(_special_split(), path)
+    lines = path.read_text().splitlines()
+    first, second = lines[7].split(), lines[8].split()
+    _edit_line(path, 8, first[0])
+    _edit_line(path, 9, " ".join([first[1]] + second))
+    with pytest.raises(cache.CacheFormatError, match="line 8 holds 1 values, expected 2"):
+        cache.load_split(path)
 
 
 # ------------------------------------------------------------------- pipeline

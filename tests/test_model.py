@@ -302,3 +302,82 @@ def test_checkpoint_architecture_expectation_enforced(tmp_path):
     assert loaded.dims["lstm_units"] == 5
     with pytest.raises(ckpt.CheckpointArchitectureError):
         ckpt.checkpoint_load(path, expect={"lstm_units": 200})
+
+
+def _replace_row(path, tensor, row, text):
+    """Overwrite row ``row`` of ``tensor`` in a saved checkpoint."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {tensor} "))
+    lines[head + 1 + row] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_checkpoint_v2_round_trips_special_bit_patterns(tmp_path):
+    net = tiny_net(12)
+    special = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).max, 2.0 ** -1070]
+    net.dense1.W.flat[:len(special)] = special
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(net, path)
+    assert path.read_text().splitlines()[0] == "LPAT-CKPT v2"
+    first = path.read_text().splitlines()[3]  # the first dense1.W row
+    assert first.split()[:2] == ["8000000000000000", "0000000000000001"]
+    loaded, _ = ckpt.checkpoint_load(path)
+    for name, arr in net.params().items():
+        assert arr.tobytes() == loaded.params()[name].tobytes(), name
+
+
+def _write_v1(net, path):
+    """A v1 checkpoint of ``net``: ``float.hex`` literals, built independently
+    of the writer in ``checkpoint``."""
+    lines = ["LPAT-CKPT v1",
+             "arch " + " ".join(f"{k} {v}" for k, v in net.dims.items()),
+             "meta window 3"]
+    for name, arr in net.params().items():
+        lines.append(f"tensor {name} " + " ".join(map(str, arr.shape)))
+        lines += [" ".join(float(x).hex() for x in row) for row in np.atleast_2d(arr)]
+    lines.append("end")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_checkpoint_v1_hex_float_text_loads_bit_exactly(tmp_path):
+    net = tiny_net(4)
+    net.dense2.b[:3] = [-0.0, 5e-324, -np.finfo(float).max]
+    path = tmp_path / "v1.ckpt"
+    _write_v1(net, path)
+    loaded, meta = ckpt.checkpoint_load(path)
+    assert meta == {"window": "3"}
+    for name, arr in net.params().items():
+        assert arr.tobytes() == loaded.params()[name].tobytes(), name
+
+
+@pytest.mark.parametrize("bad, error", [
+    # one value two digits short, the next two digits long: same row length
+    # and an even digit count, which bytes.fromhex alone would accept
+    (lambda vals: " ".join([vals[0][:14], vals[1] + "00"] + vals[2:]),
+     ckpt.CheckpointFormatError),
+    (lambda vals: " ".join(vals)[:-1], ckpt.CheckpointFormatError),
+    (lambda vals: " ".join(["3ff000000000000g"] + vals[1:]), ckpt.CheckpointFormatError),
+    (lambda vals: " ".join(["3ff00000\t0000000"] + vals[1:]), ckpt.CheckpointFormatError),
+    (lambda vals: " ".join(vals[:-1]), ckpt.CheckpointTruncatedError),
+])
+def test_checkpoint_v2_malformed_row_raises(tmp_path, bad, error):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path)
+    vals = path.read_text().splitlines()[3].split()
+    _replace_row(path, "dense1.W", 0, bad(vals))
+    with pytest.raises(error, match="dense1.W row 0"):
+        ckpt.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, version, value):
+    net = tiny_net(12)
+    net.lstm.U[2, 1] = value
+    path = tmp_path / "net.ckpt"
+    if version == "v1":
+        _write_v1(net, path)
+    else:
+        ckpt.checkpoint_save(net, path)
+    with pytest.raises(ckpt.CheckpointFormatError, match="lstm.U holds a non-finite"):
+        ckpt.checkpoint_load(path)
