@@ -7,13 +7,12 @@ from .model import (
     ForwardCache,
     LstmParams,
     Network,
-    PerturbationSet,
     ShapeError,
-    backward,
-    dense_forward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_network,
     lstm_step,
+    predict_proba,
     softmax,
 )
 from .checkpoint import (
@@ -34,10 +33,9 @@ from .data import (
 from .evaluate import MetricsReport, evaluate as evaluate_samples
 from .perturb import (
     PerturbationConfig,
-    compute_perturbations,
+    compute_perturbation_tensors,
     kl_divergence,
     supervised_perturbation,
-    virtual_perturbation,
 )
 from .synthetic import SynthConfig, generate_synthetic
 from .training import OptimizerState, TrainConfig, TrainReport, predict, train

@@ -123,6 +123,8 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     for k, v in zip(arch_tokens[0::2], arch_tokens[1::2]):
         if k not in ARCH_KEYS:
             raise CheckpointFormatError(f"{path}: unknown arch key {k!r}")
+        if k in dims:
+            raise CheckpointFormatError(f"{path}:2: arch key {k!r} given twice")
         try:
             dims[k] = int(v)
         except ValueError:
@@ -153,10 +155,13 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
         if not line.startswith("tensor "):
             raise CheckpointFormatError(f"{path}:{i + 1}: unexpected line {line!r}")
         head = line.split()
-        name = head[1]
+        try:
+            name, shape = head[1], tuple(int(t) for t in head[2:])
+        except (IndexError, ValueError):
+            raise CheckpointFormatError(
+                f"{path}:{i + 1}: malformed tensor header {line!r}") from None
         if name not in shapes:
             raise CheckpointFormatError(f"{path}:{i + 1}: unknown tensor {name!r}")
-        shape = tuple(int(t) for t in head[2:])
         if shape != shapes[name]:
             raise CheckpointFormatError(
                 f"{path}:{i + 1}: tensor {name} has shape {shape}, arch implies {shapes[name]}")

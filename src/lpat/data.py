@@ -379,6 +379,8 @@ def split_serials(healthy_serials, failing_serials, train_frac: float,
     """Drive-level stratified split. Per stratum: floor(n * train_frac)
     drives form the training pool (the rest are test), and floor(pool *
     valid_frac) of the pool become validation."""
+    if not 0.0 < train_frac < 1.0 or not 0.0 <= valid_frac < 1.0:
+        raise ValueError("train_frac must lie in (0,1) and valid_frac in [0,1)")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     train: set[str] = set()
     valid: set[str] = set()
@@ -396,12 +398,6 @@ def split_serials(healthy_serials, failing_serials, train_frac: float,
     return train, valid, test
 
 
-def _strata_from_samples(samples) -> tuple[set[str], set[str]]:
-    failing = {s.serial for s in samples if s.label in (0, 1) or s.label is None}
-    healthy = {s.serial for s in samples} - failing
-    return healthy, failing
-
-
 def _strata_from_window_geometry(timelines, window: int) -> tuple[set[str], set[str]]:
     """Strata that window_and_label will produce, computed without scaling:
     a drive enters its stratum iff at least one gap-free window exists."""
@@ -417,21 +413,17 @@ def _strata_from_window_geometry(timelines, window: int) -> tuple[set[str], set[
     return healthy, failing
 
 
-def split_dataset(samples, train_frac: float, valid_frac: float, seed: int,
+def split_dataset(samples, serials: tuple[set[str], set[str], set[str]],
                   scaling: ScalingParams, attrs=DEFAULT_ATTRS, window: int = 20
                   ) -> DatasetSplit:
-    """Assemble a DatasetSplit from windowed samples.
+    """Route windowed samples to the (train, valid, test) drive serial sets
+    that ``split_serials`` chose.
 
     The unit of splitting is the drive serial, never the window; unlabeled
     samples attach to the training side only (those from validation or test
     drives are discarded to keep the serial sets disjoint).
     """
-    if not 0.0 < train_frac < 1.0 or not 0.0 <= valid_frac < 1.0:
-        raise ValueError("train_frac must lie in (0,1) and valid_frac in [0,1)")
-    samples = list(samples)
-    healthy, failing = _strata_from_samples(samples)
-    train_s, valid_s, test_s = split_serials(healthy, failing, train_frac,
-                                             valid_frac, seed)
+    train_s, valid_s, test_s = serials
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
                          scaling=scaling, attrs=tuple(attrs), window=window)
     for s in samples:
@@ -493,8 +485,8 @@ def prepare_dataset(timelines, attrs=DEFAULT_ATTRS, clusters: int = 10,
     selected = healthy + failed
 
     healthy_s, failing_s = _strata_from_window_geometry(selected, window)
-    train_s, _, _ = split_serials(healthy_s, failing_s, train_frac, valid_frac, seed)
-    train_tls = [t for t in selected if t.serial in train_s]
+    serials = split_serials(healthy_s, failing_s, train_frac, valid_frac, seed)
+    train_tls = [t for t in selected if t.serial in serials[0]]
     if not train_tls:
         raise ValueError("too few drives to populate the train and test splits")
     scaling = minmax_fit(train_tls)
@@ -502,6 +494,6 @@ def prepare_dataset(timelines, attrs=DEFAULT_ATTRS, clusters: int = 10,
     labeled, unlabeled = window_and_label(selected, window, scaling)
     if not labeled:
         raise ValueError("no samples produced; window exceeds every drive's history")
-    split = split_dataset(labeled + unlabeled, train_frac, valid_frac, seed,
-                          scaling, attrs=attrs, window=window)
+    split = split_dataset(labeled + unlabeled, serials, scaling,
+                          attrs=attrs, window=window)
     return split, stats

@@ -65,13 +65,9 @@ def metrics_from_confusion(cm: np.ndarray) -> MetricsReport:
     )
 
 
-def predict_classes(net: model.Network, features: np.ndarray, chunk: int = 512) -> np.ndarray:
+def predict_classes(net: model.Network, features: np.ndarray) -> np.ndarray:
     """Argmax class per (B, w, n) sample; ties resolve to the lowest index."""
-    out = np.empty(features.shape[0], dtype=int)
-    for lo in range(0, features.shape[0], chunk):
-        probs = model.forward_batch(net, features[lo:lo + chunk]).probs
-        out[lo:lo + chunk] = probs.argmax(axis=1)
-    return out
+    return model.predict_proba(net, features).argmax(axis=1)
 
 
 def evaluate(net: model.Network, samples) -> MetricsReport:

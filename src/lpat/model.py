@@ -2,7 +2,9 @@
 
 The stack is fixed: two identity-activation dense layers applied per time step,
 an LSTM over the window, and a final dense layer on the last hidden state,
-softmax on top. Perturbations can be injected at five named points:
+softmax on top. The API is batch-first: forward, backward and inference take
+(B, w, n) batches. Perturbations can be injected at five numbered points,
+shaped per window as below, with a leading batch dimension:
 
     0  raw input                      (w, n)   per time step
     1  after dense-1                  (w, hidden1)
@@ -23,19 +25,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit as sigmoid
 
-POINT_INPUT = 0
-POINT_DENSE1 = 1
-POINT_DENSE2 = 2
-POINT_LSTM = 3
-POINT_LOGITS = 4
 ALL_POINTS = (0, 1, 2, 3, 4)
-SEQUENCE_POINTS = (0, 1, 2)
 
-GATE_ORDER = ("i", "f", "o", "j")
-
-# A PerturbationSet maps injection point -> tensor shaped like that point's
-# activation. An empty dict means an unperturbed forward pass.
-PerturbationSet = dict
+# windows per forward in chunked inference
+PREDICT_CHUNK = 512
 
 
 class ShapeError(ValueError):
@@ -60,8 +53,7 @@ class DenseParams:
 class LstmParams:
     """Gate weights stacked row-wise in the order i, f, o, j.
 
-    W is (4q, d), U is (4q, q), b is (4q,). Per-gate blocks are exposed via
-    ``gate`` so the four (W_a, U_a, b_a) triples remain addressable.
+    W is (4q, d), U is (4q, q), b is (4q,).
     """
 
     W: np.ndarray
@@ -75,12 +67,6 @@ class LstmParams:
     @property
     def in_dim(self) -> int:
         return self.W.shape[1]
-
-    def gate(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        k = GATE_ORDER.index(name)
-        q = self.units
-        sl = slice(k * q, (k + 1) * q)
-        return self.W[sl], self.U[sl], self.b[sl]
 
 
 @dataclass
@@ -160,25 +146,11 @@ class ForwardCache:
     h: np.ndarray       # (B, w, q) hidden states
     probs: np.ndarray   # (B, classes)
 
-    @property
-    def batch_size(self) -> int:
-        return self.probs.shape[0]
-
 
 def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def dense_forward(x: np.ndarray, params: DenseParams, activation: str = "identity") -> np.ndarray:
-    """y = Wx + b. Only the identity activation exists in this stack."""
-    if activation != "identity":
-        raise ValueError(f"unsupported activation: {activation}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != params.in_dim:
-        raise ShapeError(f"dense input has {x.shape[-1]} features, expected {params.in_dim}")
-    return x @ params.W.T + params.b
 
 
 def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
@@ -251,6 +223,31 @@ def _check_pert_shapes(perts: dict, shapes: dict[int, tuple]) -> None:
                 f"perturbation at point {m} has shape {np.shape(r)}, expected {shapes[m]}")
 
 
+def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
+                  perts: dict, lstm: Optional[tuple]) -> ForwardCache:
+    """Run the layers above injection point ``start``.
+
+    ``xhat`` holds the activations up to ``start`` as they feed the next
+    layer; each later point m gets ``perts[m]`` added. ``lstm`` carries the
+    LSTM internals (gates, c, tanh_c, h) when ``start`` lies above the LSTM.
+    """
+    def inject(m, a):
+        xhat[m] = a + perts[m] if m in perts else a
+
+    if start < 1:
+        inject(1, xhat[0] @ net.dense1.W.T + net.dense1.b)
+    if start < 2:
+        inject(2, xhat[1] @ net.dense2.W.T + net.dense2.b)
+    if start < 3:
+        lstm = _lstm_forward(net.lstm, xhat[2])
+        inject(3, lstm[3][:, -1])
+    if start < 4:
+        inject(4, xhat[3] @ net.dense3.W.T + net.dense3.b)
+    gates, c, tanh_c, h = lstm
+    return ForwardCache(xhat=xhat, gates=gates, c=c, tanh_c=tanh_c, h=h,
+                        probs=softmax(xhat[4]))
+
+
 def forward_batch(net: Network, X: np.ndarray,
                   perts: Optional[dict] = None) -> ForwardCache:
     """Full forward over a (B, w, n) batch with optional perturbations.
@@ -270,33 +267,8 @@ def forward_batch(net: Network, X: np.ndarray,
         0: (B, w, n), 1: (B, w, d["hidden1"]), 2: (B, w, d["hidden2"]),
         3: (B, d["lstm_units"]), 4: (B, d["classes"]),
     })
-
-    xhat0 = X + perts[0] if 0 in perts else X
-    a1 = xhat0 @ net.dense1.W.T + net.dense1.b
-    xhat1 = a1 + perts[1] if 1 in perts else a1
-    a2 = xhat1 @ net.dense2.W.T + net.dense2.b
-    xhat2 = a2 + perts[2] if 2 in perts else a2
-    gates, c, tanh_c, h = _lstm_forward(net.lstm, xhat2)
-    hw = h[:, -1]
-    xhat3 = hw + perts[3] if 3 in perts else hw
-    z = xhat3 @ net.dense3.W.T + net.dense3.b
-    xhat4 = z + perts[4] if 4 in perts else z
-    return ForwardCache(
-        xhat={0: xhat0, 1: xhat1, 2: xhat2, 3: xhat3, 4: xhat4},
-        gates=gates, c=c, tanh_c=tanh_c, h=h, probs=softmax(xhat4),
-    )
-
-
-def forward(net: Network, features: np.ndarray,
-            perturbations: Optional[dict] = None) -> ForwardCache:
-    """Forward one (w, n) sample; returns a batch-of-one cache."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise ShapeError(f"expected a (window, attrs) sample, got shape {features.shape}")
-    perts = None
-    if perturbations:
-        perts = {m: np.asarray(r, dtype=float)[None, ...] for m, r in perturbations.items()}
-    return forward_batch(net, features[None, ...], perts)
+    xhat = {0: X + perts[0] if 0 in perts else X}
+    return _forward_from(net, xhat, 0, perts, None)
 
 
 def resume_forward(net: Network, base: ForwardCache, point: int,
@@ -309,18 +281,16 @@ def resume_forward(net: Network, base: ForwardCache, point: int,
     """
     xhat = dict(base.xhat)
     xhat[point] = base.xhat[point] + r
-    gates, c, tanh_c, h = base.gates, base.c, base.tanh_c, base.h
-    if point == 0:
-        xhat[1] = xhat[0] @ net.dense1.W.T + net.dense1.b
-    if point <= 1:
-        xhat[2] = xhat[1] @ net.dense2.W.T + net.dense2.b
-    if point <= 2:
-        gates, c, tanh_c, h = _lstm_forward(net.lstm, xhat[2])
-        xhat[3] = h[:, -1]
-    if point <= 3:
-        xhat[4] = xhat[3] @ net.dense3.W.T + net.dense3.b
-    return ForwardCache(xhat=xhat, gates=gates, c=c, tanh_c=tanh_c, h=h,
-                        probs=softmax(xhat[4]))
+    return _forward_from(net, xhat, point, {},
+                         (base.gates, base.c, base.tanh_c, base.h))
+
+
+def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
+    """Class probabilities of a (B, w, n) batch, forwarded in chunks of
+    ``PREDICT_CHUNK`` windows; no perturbation is ever applied. An empty
+    batch gives a (0, classes) result."""
+    return np.concatenate([forward_batch(net, X[lo:lo + PREDICT_CHUNK]).probs
+                           for lo in range(0, max(len(X), 1), PREDICT_CHUNK)])
 
 
 def _lstm_backward(p: LstmParams, cache: ForwardCache, dh_last: np.ndarray,
@@ -412,16 +382,6 @@ def backward_batch(net: Network, cache: ForwardCache, dlogits: np.ndarray, *,
         grads["dense1.b"] = g1.sum(axis=(0, 1))
     act[0] = g1 @ net.dense1.W
     return grads, act
-
-
-def backward(net: Network, cache: ForwardCache, dlogits: np.ndarray):
-    """Single-sample wrapper: (w, n) caches from ``forward``; dlogits (classes,).
-
-    Returns (parameter gradients, {point: activation gradient}) with the batch
-    dimension squeezed out of the activation gradients.
-    """
-    grads, act = backward_batch(net, cache, np.asarray(dlogits, dtype=float)[None, :])
-    return grads, {m: g[0] for m, g in act.items()}
 
 
 def nll_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -129,13 +129,6 @@ def scale_rows(G: np.ndarray, eps: float) -> np.ndarray:
     return out.reshape(G.shape)
 
 
-def _as_feature_batch(batch) -> np.ndarray:
-    if isinstance(batch, np.ndarray) and batch.ndim == 3:
-        return np.asarray(batch, dtype=float)
-    arrs = [np.asarray(getattr(s, "features", s), dtype=float) for s in batch]
-    return np.stack(arrs)
-
-
 def _noise_rng(seed: int, epoch: int, batch_index: int, point: int):
     # dedicated stream per (run seed, epoch, batch, point): perturbation noise
     # never touches the data-order stream
@@ -210,27 +203,3 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
     return virtual_perturbation_tensors(net, X, config, seed=seed, epoch=epoch,
                                         batch_index=batch_index, base=base)
 
-
-def _unstack(tensors: dict[int, np.ndarray], n: int) -> list[model.PerturbationSet]:
-    return [{m: t[i] for m, t in tensors.items()} for i in range(n)]
-
-
-def virtual_perturbation(net: model.Network, batch, config: PerturbationConfig, *,
-                         seed: int = 0, epoch: int = 0, batch_index: int = 0
-                         ) -> list[model.PerturbationSet]:
-    """Per-sample virtual (label-free) perturbation sets for a batch."""
-    X = _as_feature_batch(batch)
-    tensors = virtual_perturbation_tensors(net, X, config, seed=seed,
-                                           epoch=epoch, batch_index=batch_index)
-    return _unstack(tensors, X.shape[0])
-
-
-def compute_perturbations(net: model.Network, batch, labels,
-                          config: PerturbationConfig, *,
-                          seed: int = 0, epoch: int = 0, batch_index: int = 0
-                          ) -> list[model.PerturbationSet]:
-    """Per-sample perturbation sets for a batch under the configured mode."""
-    X = _as_feature_batch(batch)
-    tensors = compute_perturbation_tensors(net, X, labels, config, seed=seed,
-                                           epoch=epoch, batch_index=batch_index)
-    return _unstack(tensors, X.shape[0])

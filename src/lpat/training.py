@@ -17,7 +17,7 @@ nothing and the parameter trajectory matches plain training bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -112,25 +112,6 @@ def lap_loss_from_probs(p_ref: np.ndarray, p_pert: np.ndarray) -> float:
     return float(np.mean(perturb.kl_rows(p_ref, p_pert)))
 
 
-def lap_loss(net: model.Network, batch, perturbations: Sequence[model.PerturbationSet]) -> float:
-    """Adversarial term over labeled and unlabeled samples alike: each
-    sample's perturbation set is applied simultaneously at all its points."""
-    X = perturb._as_feature_batch(batch)
-    base = model.forward_batch(net, X)
-    points = sorted({m for ps in perturbations for m in ps})
-    if not points:
-        return lap_loss_from_probs(base.probs, base.probs)
-    stacked = {
-        m: np.stack([
-            ps[m] if m in ps else np.zeros_like(base.xhat[m][i])
-            for i, ps in enumerate(perturbations)
-        ])
-        for m in points
-    }
-    pert = model.forward_batch(net, X, stacked)
-    return lap_loss_from_probs(base.probs, pert.probs)
-
-
 def total_loss(nll: float, lap: float, lam: float) -> float:
     """L = nll + lambda * lap, nothing else."""
     return nll + lam * lap
@@ -142,7 +123,7 @@ def predict(net: model.Network, sample) -> tuple[int, np.ndarray]:
     Prediction never engages the injection machinery.
     """
     feats = np.asarray(getattr(sample, "features", sample), dtype=float)
-    probs = model.forward(net, feats).probs[0]
+    probs = model.predict_proba(net, feats[None])[0]
     return int(np.argmax(probs)), probs
 
 
@@ -234,8 +215,7 @@ def train(dataset, train_config: TrainConfig,
                     seed=cfg.seed, epoch=epoch, batch_index=b, base=cache)
 
             dlogits = np.zeros_like(cache.probs)
-            dlogits[:n_lab] = (cache.probs[:n_lab] -
-                               np.eye(eval_mod.N_CLASSES)[yb]) / n_lab
+            dlogits[:n_lab] = model.nll_dlogits(cache.probs[:n_lab], yb) / n_lab
             grads, _ = model.backward_batch(net, cache, dlogits)
 
             if tensors:
@@ -243,7 +223,8 @@ def train(dataset, train_config: TrainConfig,
                 lap = lap_loss_from_probs(cache.probs, pert_cache.probs)
                 loss = total_loss(nll, lap, pcfg.lam)
                 if pcfg.lam != 0.0:
-                    dl_pert = pcfg.lam * (pert_cache.probs - cache.probs) / Xb.shape[0]
+                    dl_pert = (pcfg.lam * model.kl_dlogits(cache.probs, pert_cache.probs)
+                               / Xb.shape[0])
                     grads2, _ = model.backward_batch(net, pert_cache, dl_pert)
                     for k in grads:
                         grads[k] += grads2[k]
@@ -270,16 +251,11 @@ def train(dataset, train_config: TrainConfig,
 
 
 def _validate(net: model.Network, samples) -> tuple[float, float]:
-    feats = _stack_features(samples)
     labels = [int(s.label) for s in samples]
-    probs = np.concatenate([
-        model.forward_batch(net, feats[lo:lo + 512]).probs
-        for lo in range(0, feats.shape[0], 512)
-    ])
-    loss = nll_loss(probs, labels)
+    probs = model.predict_proba(net, _stack_features(samples))
     preds = probs.argmax(axis=1)
     rep = eval_mod.metrics_from_confusion(eval_mod.confusion_matrix(labels, preds))
-    return loss, rep.macro_f1
+    return nll_loss(probs, labels), rep.macro_f1
 
 
 def format_report(report: TrainReport) -> str:

@@ -100,13 +100,14 @@ def test_criterion_1_gradient_oracle():
         label = int(rng.integers(0, 3))
 
         def nll(perts=None):
-            c = model.forward(net, x, perts)
+            batched = {m: r[None] for m, r in (perts or {}).items()}
+            c = model.forward_batch(net, x[None], batched)
             return -float(np.log(c.probs[0][label]))
 
-        cache_ = model.forward(net, x)
+        cache_ = model.forward_batch(net, x[None])
         dl = cache_.probs[0].copy()
         dl[label] -= 1.0
-        grads, act = model.backward(net, cache_, dl)
+        grads, act = model.backward_batch(net, cache_, dl[None])
 
         for name, arr in net.params().items():
             fd = fd_grad_wrt(arr, nll, step=1e-5)
@@ -117,7 +118,7 @@ def test_criterion_1_gradient_oracle():
         for m, shape in shapes.items():
             fd = central_diff_grad(lambda r, m=m: nll({m: r}),
                                    np.zeros(shape), step=1e-5)
-            err = rel_error(act[m], fd)
+            err = rel_error(act[m][0], fd)
             assert err < 1e-4, f"seed {seed} point {m}: rel err {err:.2e}"
             total_checks += 1
     assert total_checks == 20 * (9 + 5)
@@ -177,17 +178,17 @@ def test_criterion_3_power_iteration_oracle():
         net = tiny_net(seed, sharpen=2.0)
         rng = np.random.default_rng(1000 + seed)
         x = rng.uniform(size=(w, n))
-        p_ref = model.forward(net, x).probs[0]
+        p_ref = model.forward_batch(net, x[None]).probs[0]
 
         def kl_at(r_flat):
-            c = model.forward(net, x, {0: r_flat.reshape(w, n)})
+            c = model.forward_batch(net, x[None], {0: r_flat.reshape(1, w, n)})
             return perturb.kl_divergence(p_ref, c.probs[0])
 
         H = central_diff_hessian(kl_at, np.zeros(w * n), step=1e-4)
         u = dominant_eigenvector(H)
         cfg = perturb.PerturbationConfig(mode="virtual_at", layers="input",
                                          epsilon=1.0, xi=1e-2)
-        r = perturb.virtual_perturbation(net, x[None, ...], cfg, seed=seed)[0][0]
+        r = perturb.compute_perturbation_tensors(net, x[None, ...], None, cfg, seed=seed)[0][0]
         cosines.append(abs_cosine(r, u))
     mean_cos = float(np.mean(cosines))
     assert mean_cos >= 0.95, f"mean |cos| {mean_cos:.4f}, per-seed {cosines}"

@@ -287,10 +287,18 @@ def one_sample(serial, label):
                        window_end=date(2016, 1, 2))
 
 
+def split_by_drive(samples, seed):
+    """80/20 drive split, stratified on whether a drive has failed."""
+    failing = {s.serial for s in samples if s.label != 2}
+    healthy = {s.serial for s in samples} - failing
+    serials = data.split_serials(healthy, failing, 0.8, 0.2, seed)
+    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
+    return data.split_dataset(samples, serials, scaling)
+
+
 def test_split_counts_match_the_80_20_protocol():
     samples = [one_sample(f"D{i:03d}", 2) for i in range(100)]
-    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
-    split = data.split_dataset(samples, 0.8, 0.2, seed=0, scaling=scaling)
+    split = split_by_drive(samples, seed=0)
     serials = lambda part: {s.serial for s in part}
     assert len(serials(split.train_labeled)) == 64
     assert len(serials(split.valid)) == 16
@@ -300,8 +308,7 @@ def test_split_counts_match_the_80_20_protocol():
 def test_split_counts_stratified_case():
     samples = [one_sample(f"H{i:03d}", 2) for i in range(75)]
     samples += [one_sample(f"F{i:03d}", 1) for i in range(25)]
-    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
-    split = data.split_dataset(samples, 0.8, 0.2, seed=3, scaling=scaling)
+    split = split_by_drive(samples, seed=3)
     count = lambda part, pre: len({s.serial for s in part if s.serial.startswith(pre)})
     assert count(split.train_labeled, "H") == 48 and count(split.train_labeled, "F") == 16
     assert count(split.valid, "H") == 12 and count(split.valid, "F") == 4
@@ -316,9 +323,8 @@ def test_split_is_deterministic_and_disjoint():
         samples.append(one_sample(f"D{i:03d}", label))
         if label != 2 and i % 3 == 0:
             samples.append(one_sample(f"D{i:03d}", None))
-    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
-    a = data.split_dataset(samples, 0.8, 0.2, seed=5, scaling=scaling)
-    b = data.split_dataset(samples, 0.8, 0.2, seed=5, scaling=scaling)
+    a = split_by_drive(samples, seed=5)
+    b = split_by_drive(samples, seed=5)
     parts = ("train_labeled", "valid", "test")
     for part in parts:
         assert [s.serial for s in getattr(a, part)] == \
@@ -332,8 +338,7 @@ def test_split_unlabeled_attach_to_training_only():
     samples = [one_sample(f"F{i:02d}", 0) for i in range(10)]
     samples += [one_sample(f"F{i:02d}", None) for i in range(10)]
     samples += [one_sample(f"H{i:02d}", 2) for i in range(10)]
-    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
-    split = data.split_dataset(samples, 0.8, 0.2, seed=1, scaling=scaling)
+    split = split_by_drive(samples, seed=1)
     train_serials = {s.serial for s in split.train_labeled}
     assert split.train_unlabeled
     assert all(s.serial in train_serials for s in split.train_unlabeled)
@@ -342,9 +347,8 @@ def test_split_unlabeled_attach_to_training_only():
 
 def test_split_errors_when_a_required_split_would_be_empty():
     samples = [one_sample("A", 2)]
-    scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
     with pytest.raises(ValueError):
-        data.split_dataset(samples, 0.8, 0.2, seed=0, scaling=scaling)
+        split_by_drive(samples, seed=0)
 
 
 # ------------------------------------------------------------------ synthetic

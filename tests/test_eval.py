@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpat import evaluate as ev
-from lpat import model
+from lpat import model, training
 
 
 class FakeSample:
@@ -94,6 +94,26 @@ def test_evaluate_runs_a_plain_forward_over_samples():
     rep = ev.evaluate(net, samples)
     assert rep.accuracy == pytest.approx(0.5)
     assert rep.recall[0] == 1.0
+
+
+def test_chunked_inference_agrees_with_one_full_batch_forward():
+    # 1100 windows cross two chunk boundaries and end in a partial chunk
+    net = model.init_network(2, 4, 4, 5, 3, seed=3)
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(1100, 3, 2)) * 3.0
+    labels = rng.integers(0, 3, size=1100)
+    full = model.forward_batch(net, X).probs
+    probs = model.predict_proba(net, X)
+    assert probs.shape == full.shape
+    np.testing.assert_allclose(probs, full, rtol=0, atol=1e-12)
+    preds = ev.predict_classes(net, X)
+    assert np.array_equal(preds, full.argmax(axis=1))
+    assert ev.predict_classes(net, X[:0]).shape == (0,)
+    loss, f1 = training._validate(
+        net, [FakeSample(x, int(y)) for x, y in zip(X, labels)])
+    assert loss == pytest.approx(training.nll_loss(full, labels), rel=1e-12)
+    expected = ev.metrics_from_confusion(ev.confusion_matrix(labels, full.argmax(axis=1)))
+    assert f1 == expected.macro_f1
 
 
 def test_evaluate_rejects_empty_and_unlabeled_input():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,38 +18,9 @@ def tiny_net(seed=0):
 
 
 def nll(net, x, label, perts=None):
-    cache = model.forward(net, x, perts)
+    batched = {m: r[None] for m, r in (perts or {}).items()}
+    cache = model.forward_batch(net, x[None], batched)
     return -float(np.log(cache.probs[0][label]))
-
-
-# ---------------------------------------------------------------- dense layer
-
-def test_dense_identity_weights_pass_input_through():
-    p = model.DenseParams(W=np.eye(3), b=np.zeros(3))
-    x = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(model.dense_forward(x, p), x)
-
-
-def test_dense_zero_input_returns_bias():
-    p = model.DenseParams(W=np.ones((3, 2)), b=np.array([0.1, 0.2, 0.3]))
-    assert np.array_equal(model.dense_forward(np.zeros(2), p), p.b)
-
-
-def test_dense_output_length_matches_rows():
-    p = model.DenseParams(W=np.ones((3, 2)), b=np.zeros(3))
-    assert model.dense_forward(np.array([1.0, 2.0]), p).shape == (3,)
-
-
-def test_dense_shape_mismatch_raises():
-    p = model.DenseParams(W=np.ones((3, 2)), b=np.zeros(3))
-    with pytest.raises(model.ShapeError):
-        model.dense_forward(np.zeros(5), p)
-
-
-def test_dense_rejects_unknown_activation():
-    p = model.DenseParams(W=np.eye(2), b=np.zeros(2))
-    with pytest.raises(ValueError):
-        model.dense_forward(np.zeros(2), p, activation="relu")
 
 
 # ------------------------------------------------------------------ lstm cell
@@ -132,11 +105,11 @@ def test_forward_empty_and_zero_perturbations_match_plain():
     net = tiny_net(1)
     rng = np.random.default_rng(2)
     x = rng.uniform(size=(3, 2))
-    plain = model.forward(net, x)
-    empty = model.forward(net, x, {})
-    zeros = model.forward(net, x, {
-        0: np.zeros((3, 2)), 1: np.zeros((3, 4)), 2: np.zeros((3, 4)),
-        3: np.zeros(5), 4: np.zeros(3),
+    plain = model.forward_batch(net, x[None])
+    empty = model.forward_batch(net, x[None], {})
+    zeros = model.forward_batch(net, x[None], {
+        0: np.zeros((1, 3, 2)), 1: np.zeros((1, 3, 4)), 2: np.zeros((1, 3, 4)),
+        3: np.zeros((1, 5)), 4: np.zeros((1, 3)),
     })
     for other in (empty, zeros):
         assert np.array_equal(plain.probs, other.probs)
@@ -147,13 +120,13 @@ def test_forward_empty_and_zero_perturbations_match_plain():
 def test_forward_rejects_bad_input_and_perturbation_shapes():
     net = tiny_net(1)
     with pytest.raises(model.ShapeError):
-        model.forward(net, np.zeros((3, 5)))
+        model.forward_batch(net, np.zeros((1, 3, 5)))
     with pytest.raises(model.ShapeError):
-        model.forward(net, np.zeros(6))
+        model.forward_batch(net, np.zeros((1, 6)))
     with pytest.raises(model.ShapeError):
-        model.forward(net, np.zeros((3, 2)), {3: np.zeros(7)})
+        model.forward_batch(net, np.zeros((1, 3, 2)), {3: np.zeros((1, 7))})
     with pytest.raises(model.ShapeError):
-        model.forward(net, np.zeros((3, 2)), {9: np.zeros(5)})
+        model.forward_batch(net, np.zeros((1, 3, 2)), {9: np.zeros((1, 5))})
 
 
 def test_forward_probabilities_form_a_distribution():
@@ -199,10 +172,10 @@ def test_parameter_gradients_match_finite_differences(seed):
     x = rng.uniform(size=(3, 2))
     label = int(rng.integers(0, 3))
 
-    cache = model.forward(net, x)
+    cache = model.forward_batch(net, x[None])
     dl = cache.probs[0].copy()
     dl[label] -= 1.0
-    grads, _ = model.backward(net, cache, dl)
+    grads, _ = model.backward_batch(net, cache, dl[None])
     for name, arr in net.params().items():
         fd = fd_grad_wrt(arr, lambda: nll(net, x, label))
         assert rel_error(grads[name], fd) < 1e-4, name
@@ -215,15 +188,15 @@ def test_injection_point_gradients_match_finite_differences(seed):
     x = rng.uniform(size=(3, 2))
     label = int(rng.integers(0, 3))
 
-    cache = model.forward(net, x)
+    cache = model.forward_batch(net, x[None])
     dl = cache.probs[0].copy()
     dl[label] -= 1.0
-    _, act = model.backward(net, cache, dl)
+    _, act = model.backward_batch(net, cache, dl[None])
     shapes = {0: (3, 2), 1: (3, 4), 2: (3, 4), 3: (5,), 4: (3,)}
     for m, shape in shapes.items():
         fd = central_diff_grad(lambda r, m=m: nll(net, x, label, {m: r}),
                                np.zeros(shape))
-        assert rel_error(act[m], fd) < 1e-4, f"point {m}"
+        assert rel_error(act[m][0], fd) < 1e-4, f"point {m}"
 
 
 def test_gradients_exact_through_a_perturbed_forward():
@@ -235,10 +208,10 @@ def test_gradients_exact_through_a_perturbed_forward():
     base = {1: rng.normal(size=(3, 4)) * 0.3, 3: rng.normal(size=5) * 0.3}
     label = 1
 
-    cache = model.forward(net, x, base)
+    cache = model.forward_batch(net, x[None], {m: r[None] for m, r in base.items()})
     dl = cache.probs[0].copy()
     dl[label] -= 1.0
-    grads, _ = model.backward(net, cache, dl)
+    grads, _ = model.backward_batch(net, cache, dl[None])
     for name, arr in net.params().items():
         fd = fd_grad_wrt(arr, lambda: nll(net, x, label, base))
         assert rel_error(grads[name], fd) < 1e-4, name
@@ -380,4 +353,19 @@ def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, version, val
     else:
         ckpt.checkpoint_save(net, path)
     with pytest.raises(ckpt.CheckpointFormatError, match="lstm.U holds a non-finite"):
+        ckpt.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("tensor dense1.W ", "tensor dense1.W x 2"),
+    ("arch ", "arch n_attrs 2 n_attrs 2 hidden2 4 lstm_units 5 classes 3"),
+], ids=["tensor-header", "arch-repeated-key"])
+def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path)
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith(line))
+    lines[at] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ckpt.CheckpointFormatError, match=re.escape(f"{path}:{at + 1}: ")):
         ckpt.checkpoint_load(path)

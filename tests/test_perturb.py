@@ -111,10 +111,10 @@ def test_virtual_zero_epsilon_gives_exact_zero_everywhere():
     net = tiny_net(1)
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(6, 3, 2))
-    perts = perturb.virtual_perturbation(net, X, vat_cfg(epsilon=0.0), seed=5)
-    for ps in perts:
-        for m, r in ps.items():
-            assert np.array_equal(r, np.zeros_like(r))
+    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=0.0), seed=5)
+    for i in range(len(X)):
+        for m, t in tensors.items():
+            assert np.array_equal(t[i], np.zeros_like(t[i]))
 
 
 def test_virtual_norm_contract():
@@ -122,11 +122,11 @@ def test_virtual_norm_contract():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(32, 3, 2))
     eps = 3.5
-    perts = perturb.virtual_perturbation(net, X, vat_cfg(epsilon=eps), seed=7)
-    for ps in perts:
-        assert set(ps) == set(model.ALL_POINTS)
-        for r in ps.values():
-            norm = np.linalg.norm(r.ravel())
+    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=eps), seed=7)
+    assert set(tensors) == set(model.ALL_POINTS)
+    for i in range(len(X)):
+        for t in tensors.values():
+            norm = np.linalg.norm(t[i].ravel())
             if norm > 0:
                 assert abs(norm - eps) < 1e-9
 
@@ -140,36 +140,36 @@ def test_virtual_zero_gradient_guard_yields_exact_zero():
     net.dense3.b[...] = 0.0
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(4, 3, 2))
-    perts = perturb.virtual_perturbation(net, X, vat_cfg(), seed=1)
-    for ps in perts:
+    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(), seed=1)
+    for i in range(len(X)):
         for m in (0, 1, 2, 3):
-            assert np.array_equal(ps[m], np.zeros_like(ps[m]))
-        assert np.linalg.norm(ps[4]) == pytest.approx(1.0, abs=1e-9)
+            assert np.array_equal(tensors[m][i], np.zeros_like(tensors[m][i]))
+        assert np.linalg.norm(tensors[4][i]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_virtual_direction_independent_of_epsilon():
     net = tiny_net(4)
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(5, 3, 2))
-    a = perturb.virtual_perturbation(net, X, vat_cfg(epsilon=1.0), seed=9)
-    b = perturb.virtual_perturbation(net, X, vat_cfg(epsilon=4.0), seed=9)
-    for ps_a, ps_b in zip(a, b):
-        for m in ps_a:
-            np.testing.assert_allclose(ps_b[m], 4.0 * ps_a[m], rtol=1e-12, atol=1e-15)
+    a = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=1.0), seed=9)
+    b = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=4.0), seed=9)
+    for i in range(len(X)):
+        for m in a:
+            np.testing.assert_allclose(b[m][i], 4.0 * a[m][i], rtol=1e-12, atol=1e-15)
 
 
 def test_virtual_deterministic_per_seed_context():
     net = tiny_net(5)
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(4, 3, 2))
-    a = perturb.virtual_perturbation(net, X, vat_cfg(), seed=3, epoch=2, batch_index=7)
-    b = perturb.virtual_perturbation(net, X, vat_cfg(), seed=3, epoch=2, batch_index=7)
-    c = perturb.virtual_perturbation(net, X, vat_cfg(), seed=3, epoch=2, batch_index=8)
+    a, b, c = (perturb.compute_perturbation_tensors(net, X, None, vat_cfg(), seed=3,
+                                                    epoch=2, batch_index=k)
+               for k in (7, 7, 8))
     changed = False
-    for ps_a, ps_b, ps_c in zip(a, b, c):
-        for m in ps_a:
-            assert np.array_equal(ps_a[m], ps_b[m])
-            changed = changed or not np.array_equal(ps_a[m], ps_c[m])
+    for i in range(len(X)):
+        for m in a:
+            assert np.array_equal(a[m][i], b[m][i])
+            changed = changed or not np.array_equal(a[m][i], c[m][i])
     assert changed
 
 
@@ -182,17 +182,17 @@ def test_virtual_direction_tracks_dominant_kl_hessian_eigenvector():
         net = tiny_net(seed, sharpen=2.0)
         rng = np.random.default_rng(1000 + seed)
         x = rng.uniform(size=(w, n))
-        base = model.forward(net, x)
+        base = model.forward_batch(net, x[None])
         p_ref = base.probs[0]
 
         def kl_at(r_flat):
-            c = model.forward(net, x, {0: r_flat.reshape(w, n)})
+            c = model.forward_batch(net, x[None], {0: r_flat.reshape(1, w, n)})
             return perturb.kl_divergence(p_ref, c.probs[0])
 
         H = central_diff_hessian(kl_at, np.zeros(w * n), step=1e-4)
         u = dominant_eigenvector(H)
         cfg = vat_cfg(layers="input", xi=1e-2)
-        r = perturb.virtual_perturbation(net, x[None, ...], cfg, seed=seed)[0][0]
+        r = perturb.compute_perturbation_tensors(net, x[None, ...], None, cfg, seed=seed)[0][0]
         cosines.append(abs_cosine(r, u))
     assert np.mean(cosines) >= 0.95
     assert min(cosines) >= 0.95
@@ -203,8 +203,8 @@ def test_virtual_direction_tracks_dominant_kl_hessian_eigenvector():
 def test_mode_none_yields_empty_sets():
     net = tiny_net(6)
     X = np.zeros((3, 3, 2))
-    perts = perturb.compute_perturbations(net, X, None, perturb.PerturbationConfig())
-    assert perts == [{}, {}, {}]
+    tensors = perturb.compute_perturbation_tensors(net, X, None, perturb.PerturbationConfig())
+    assert tensors == {}
 
 
 def test_supervised_mode_requires_labels_for_every_sample():
@@ -213,9 +213,9 @@ def test_supervised_mode_requires_labels_for_every_sample():
     X = rng.uniform(size=(3, 3, 2))
     cfg = perturb.PerturbationConfig(mode="supervised_at", layers="input", epsilon=1.0)
     with pytest.raises(ValueError):
-        perturb.compute_perturbations(net, X, None, cfg)
+        perturb.compute_perturbation_tensors(net, X, None, cfg)
     with pytest.raises(ValueError):
-        perturb.compute_perturbations(net, X, [0, None, 2], cfg)
+        perturb.compute_perturbation_tensors(net, X, [0, None, 2], cfg)
 
 
 def test_supervised_input_selection_matches_classic_input_at():
@@ -224,12 +224,12 @@ def test_supervised_input_selection_matches_classic_input_at():
     x = rng.uniform(size=(3, 2))
     label = 1
     cfg = perturb.PerturbationConfig(mode="supervised_at", layers="input", epsilon=2.0)
-    perts = perturb.compute_perturbations(net, x[None, ...], [label], cfg)
-    assert list(perts[0]) == [0]
-    cache = model.forward(net, x)
-    _, act = model.backward(net, cache, model.loglik_dlogits(cache.probs, [label])[0])
-    expected = perturb.supervised_perturbation(act[0], 2.0)
-    np.testing.assert_allclose(perts[0][0], expected, atol=1e-12)
+    tensors = perturb.compute_perturbation_tensors(net, x[None, ...], [label], cfg)
+    assert list(tensors) == [0]
+    cache = model.forward_batch(net, x[None])
+    _, act = model.backward_batch(net, cache, model.loglik_dlogits(cache.probs, [label]))
+    expected = perturb.supervised_perturbation(act[0][0], 2.0)
+    np.testing.assert_allclose(tensors[0][0], expected, atol=1e-12)
 
 
 def test_virtual_mode_ignores_labels_entirely():
@@ -237,11 +237,11 @@ def test_virtual_mode_ignores_labels_entirely():
     rng = np.random.default_rng(8)
     X = rng.uniform(size=(4, 3, 2))
     cfg = vat_cfg()
-    mixed = perturb.compute_perturbations(net, X, [0, None, 2, None], cfg, seed=4)
-    nolab = perturb.compute_perturbations(net, X, None, cfg, seed=4)
-    for ps_a, ps_b in zip(mixed, nolab):
-        for m in ps_a:
-            assert np.array_equal(ps_a[m], ps_b[m])
+    mixed = perturb.compute_perturbation_tensors(net, X, [0, None, 2, None], cfg, seed=4)
+    nolab = perturb.compute_perturbation_tensors(net, X, None, cfg, seed=4)
+    for i in range(len(X)):
+        for m in mixed:
+            assert np.array_equal(mixed[m][i], nolab[m][i])
 
 
 def test_config_validation_rejects_bad_values():
@@ -289,18 +289,19 @@ def test_adversarial_direction_beats_random_on_average():
     for trial in range(40):
         x = rng.uniform(size=(3, 2))
         label = int(rng.integers(0, 3))
-        base = model.forward(net, x)
+        base = model.forward_batch(net, x[None])
         base_nll = -np.log(base.probs[0][label])
         p_ref = base.probs[0]
         for kind, cfg in (("sup", sup), ("vat", vat)):
-            perts = perturb.compute_perturbations(
-                net, x[None, ...], [label], cfg, seed=trial)[0]
-            for m, r in perts.items():
+            tensors = perturb.compute_perturbation_tensors(
+                net, x[None, ...], [label], cfg, seed=trial)
+            for m, t in tensors.items():
+                r = t[0]
                 rand = rng.normal(size=r.shape)
                 nr = np.linalg.norm(rand.ravel())
                 rand = rand * (np.linalg.norm(r.ravel()) / nr)
-                adv = model.forward(net, x, {m: r})
-                rnd = model.forward(net, x, {m: rand})
+                adv = model.forward_batch(net, x[None], {m: r[None]})
+                rnd = model.forward_batch(net, x[None], {m: rand[None]})
                 if kind == "sup":
                     gain_adv = -np.log(adv.probs[0][label]) - base_nll
                     gain_rnd = -np.log(rnd.probs[0][label]) - base_nll

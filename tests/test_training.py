@@ -80,9 +80,11 @@ def test_lap_loss_zero_for_zero_perturbations():
     net = model.init_network(2, 4, 4, 5, 3, seed=0)
     rng = np.random.default_rng(0)
     batch = rng.uniform(size=(3, 3, 2))
-    zero_sets = [{0: np.zeros((3, 2))} for _ in range(3)]
-    assert training.lap_loss(net, batch, zero_sets) == 0.0
-    assert training.lap_loss(net, batch, [{}, {}, {}]) == 0.0
+    base = model.forward_batch(net, batch)
+    zeros = model.forward_batch(net, batch, {0: np.zeros((3, 3, 2))})
+    assert training.lap_loss_from_probs(base.probs, zeros.probs) == 0.0
+    empty = model.forward_batch(net, batch, {})
+    assert training.lap_loss_from_probs(base.probs, empty.probs) == 0.0
 
 
 def test_lap_loss_closed_form_single_pair():
@@ -97,8 +99,10 @@ def test_lap_loss_nonnegative_for_real_perturbations():
     batch = rng.uniform(size=(5, 3, 2))
     cfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
                                      epsilon=1.0, xi=1.0)
-    perts = perturb.compute_perturbations(net, batch, None, cfg, seed=2)
-    assert training.lap_loss(net, batch, perts) >= 0.0
+    tensors = perturb.compute_perturbation_tensors(net, batch, None, cfg, seed=2)
+    base = model.forward_batch(net, batch)
+    pert = model.forward_batch(net, batch, tensors)
+    assert training.lap_loss_from_probs(base.probs, pert.probs) >= 0.0
 
 
 def test_total_loss_is_exactly_the_weighted_sum():
@@ -329,7 +333,7 @@ def test_predict_equals_plain_forward():
     net = model.init_network(2, 4, 4, 5, 3, seed=9)
     x = np.random.default_rng(9).uniform(size=(3, 2))
     label, probs = training.predict(net, FakeSample(x, 2))
-    assert np.array_equal(probs, model.forward(net, x).probs[0])
+    assert np.array_equal(probs, model.forward_batch(net, x[None]).probs[0])
     assert label == int(np.argmax(probs))
 
 
