@@ -3,6 +3,7 @@
 from . import cache, data, evaluate, perturb, synthetic, training
 from .model import (
     ALL_POINTS,
+    Activations,
     DenseParams,
     ForwardCache,
     LstmParams,
@@ -38,6 +39,13 @@ from .perturb import (
     supervised_perturbation,
 )
 from .synthetic import SynthConfig, generate_synthetic
-from .training import OptimizerState, TrainConfig, TrainReport, predict, train
+from .training import (
+    NonFiniteLossError,
+    OptimizerState,
+    TrainConfig,
+    TrainReport,
+    predict,
+    train,
+)
 
 __version__ = "0.1.0"

@@ -239,12 +239,23 @@ def clean_and_aggregate(timelines, window: int = 20
 # -------------------------------------------------------------------- scaling
 
 def minmax_fit(timelines) -> ScalingParams:
-    """Per-attribute extrema over every record of the given timelines."""
+    """Per-attribute extrema over every record of the given timelines.
+
+    Raises ValueError when an attribute's range ``v_max - v_min`` overflows
+    float64: scaling by it would turn finite values into NaN.
+    """
     rows = [rec.attrs for tl in timelines for rec in tl.records]
     if not rows:
         raise ValueError("cannot fit scaling on zero records")
     arr = np.array(rows, dtype=float)
-    return ScalingParams(v_min=arr.min(axis=0), v_max=arr.max(axis=0))
+    v_min, v_max = arr.min(axis=0), arr.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(v_max - v_min))
+    if wide.size:
+        j = int(wide[0])
+        raise ValueError(f"attribute {j + 1} of {len(v_min)} spans {float(v_min[j])!r} "
+                         f"to {float(v_max[j])!r}, beyond the float64 range")
+    return ScalingParams(v_min=v_min, v_max=v_max)
 
 
 def minmax_apply(values, params: ScalingParams) -> np.ndarray:
@@ -457,6 +468,9 @@ class PrepStats:
             "         original  post-processing",
             f"healthy  {self.healthy_before:8d}  {self.healthy_kept:15d}",
             f"failed   {self.failed_before:8d}  {self.failed_after_clean:15d}",
+            f"rows deduplicated: {self.clean.rows_deduplicated}",
+            f"drives dropped for missing values: {self.clean.drives_removed_missing}",
+            f"drives dropped for short history: {self.clean.drives_removed_short}",
         ]
         return "\n".join(lines) + "\n"
 

@@ -140,15 +140,18 @@ def virtual_perturbation_tensors(net: model.Network, X: np.ndarray,
                                  config: PerturbationConfig, *,
                                  seed: int = 0, epoch: int = 0,
                                  batch_index: int = 0,
-                                 base: Optional[model.ForwardCache] = None
+                                 base: Optional[model.Activations] = None
                                  ) -> dict[int, np.ndarray]:
     """Stacked virtual perturbations, one (batch, ...) tensor per selected point.
 
     One power-iteration step per point: the KL gradient is evaluated at
-    r = xi * e only (its value and gradient at r = 0 both vanish).
+    r = xi * e only (its value and gradient at r = 0 both vanish). The probes
+    read only the activations and output of ``base``; each nudged pass is
+    freed before the next one runs, so the LSTM internals of at most one
+    probe are alive at a time.
     """
     if base is None:
-        base = model.forward_batch(net, X)
+        base = model.forward_batch(net, X).activations()
     p_ref = base.probs
     out: dict[int, np.ndarray] = {}
     for m in config.points:
@@ -159,6 +162,7 @@ def virtual_perturbation_tensors(net: model.Network, X: np.ndarray,
         _, act = model.backward_batch(net, nudged, dlogits,
                                       want_param_grads=False, down_to=m)
         out[m] = scale_rows(act[m], config.eps_for(m))
+        del nudged, act
     return out
 
 
@@ -186,12 +190,15 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
                                  config: Optional[PerturbationConfig] = None, *,
                                  seed: int = 0, epoch: int = 0,
                                  batch_index: int = 0,
-                                 base: Optional[model.ForwardCache] = None
+                                 base: Optional[model.Activations] = None
                                  ) -> dict[int, np.ndarray]:
     """Mode dispatcher over the supervised and virtual constructions.
 
     All selected points are derived from the same unperturbed pass; the
-    caller applies them simultaneously in one perturbed forward.
+    caller applies them simultaneously in one perturbed forward. The
+    supervised construction backpropagates through that pass, so its
+    ``base`` must be a full ``ForwardCache``; the virtual one reads only
+    the ``Activations``.
     """
     config = config or PerturbationConfig()
     if config.mode == "none":

@@ -3,10 +3,17 @@
 Per batch: (1) sample labeled rows (one shuffled pass per epoch) plus
 unlabeled rows drawn with replacement, in proportion to the pool sizes;
 (2) unperturbed forward, negative log-likelihood on the labeled rows;
-(3) perturbations from that same pass (supervised or virtual); (4) one
-perturbed forward with every selected point perturbed simultaneously,
-giving the adversarial KL term; (5) a single combined backprop of
-total = nll + lambda * lap through both passes; (6) RMSProp update.
+supervised perturbations, which backpropagate through this pass, are built
+here; (3) the NLL's parameter backward through that pass, after which its
+LSTM internals are freed; (4) virtual perturbations from that pass's
+activations and output; (5) one perturbed forward with every selected
+point perturbed simultaneously, giving the adversarial KL term, and its
+parameter backward, added to step 3's gradients: together the gradient of
+total = nll + lambda * lap; (6) RMSProp update, unless the loss is not
+finite, which stops training with NonFiniteLossError.
+
+Each pass's cache is freed after its last reader, so at most one pass's
+LSTM internals are alive at a time, and none when a new LSTM pass starts.
 
 Perturbation noise lives on its own RNG stream keyed by
 (seed, epoch, batch, point), so computing perturbations never disturbs
@@ -16,6 +23,7 @@ nothing and the parameter trajectory matches plain training bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,6 +59,22 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
         if min(self.hidden1, self.hidden2, self.lstm_units) <= 0:
             raise ValueError("layer widths must be positive")
+
+
+class NonFiniteLossError(ValueError):
+    """A training step's loss is not finite; no update was made from it.
+
+    ``epoch`` and ``batch`` are 1-based; ``term`` is ``nll`` or ``lap``,
+    the first of the two loss terms that is not finite.
+    """
+
+    def __init__(self, epoch: int, batch: int, term: str):
+        super().__init__(f"epoch {epoch}, batch {batch}: the {term} term of the "
+                         "training loss is not finite; check the data for "
+                         "non-finite values, or lower the learning rate")
+        self.epoch = epoch
+        self.batch = batch
+        self.term = term
 
 
 @dataclass
@@ -151,6 +175,56 @@ def _batch_layout(n_labeled: int, n_unlabeled: int, batch_size: int) -> tuple[in
     return batch_size - n_u, n_u
 
 
+def _batch_gradients(net: model.Network, Xb: np.ndarray, yb: np.ndarray,
+                     pcfg: perturb.PerturbationConfig, seed: int, epoch: int,
+                     b: int) -> tuple[dict[str, np.ndarray], float]:
+    """Parameter gradients and loss of one batch whose first ``len(yb)``
+    rows are labeled; raises NonFiniteLossError when the loss is not finite.
+
+    Steps 2-5 of the module docstring. Every cache of the batch is freed by
+    the time this returns, so none is alive at the next batch's forward.
+    """
+    n_lab = len(yb)
+    labels_full = list(yb) + [None] * (Xb.shape[0] - n_lab)
+    cache = model.forward_batch(net, Xb)
+    nll = nll_loss(cache.probs[:n_lab], yb)
+
+    loss = nll
+    tensors = {}
+    if pcfg.mode == "supervised_at":
+        # the one probe that backpropagates through the clean LSTM
+        tensors = perturb.compute_perturbation_tensors(
+            net, Xb, labels_full, pcfg, base=cache)
+
+    dlogits = np.zeros_like(cache.probs)
+    dlogits[:n_lab] = model.nll_dlogits(cache.probs[:n_lab], yb) / n_lab
+    grads, _ = model.backward_batch(net, cache, dlogits)
+    # nothing below reads the clean LSTM internals: free them before the
+    # probes and the perturbed pass run the LSTM again
+    clean = cache.activations()
+    del cache
+
+    if pcfg.mode == "virtual_at":
+        tensors = perturb.compute_perturbation_tensors(
+            net, Xb, labels_full, pcfg,
+            seed=seed, epoch=epoch, batch_index=b, base=clean)
+
+    if tensors:
+        pert_cache = model.forward_batch(net, Xb, tensors)
+        lap = lap_loss_from_probs(clean.probs, pert_cache.probs)
+        loss = total_loss(nll, lap, pcfg.lam)
+        if pcfg.lam != 0.0:
+            dl_pert = (pcfg.lam * model.kl_dlogits(clean.probs, pert_cache.probs)
+                       / Xb.shape[0])
+            grads2, _ = model.backward_batch(net, pert_cache, dl_pert)
+            for k in grads:
+                grads[k] += grads2[k]
+
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(epoch, b + 1, "nll" if not math.isfinite(nll) else "lap")
+    return grads, loss
+
+
 def train(dataset, train_config: TrainConfig,
           perturbation_config: Optional[perturb.PerturbationConfig] = None
           ) -> tuple[model.Network, TrainReport]:
@@ -198,37 +272,10 @@ def train(dataset, train_config: TrainConfig,
             li = order[lo:lo + n_l_rows]
             Xb = X_l[li]
             yb = y_l[li]
-            n_lab = len(li)
             if n_u_rows:
                 ui = rng_data.integers(0, len(unlabeled), size=n_u_rows)
                 Xb = np.concatenate([Xb, X_u[ui]], axis=0)
-            labels_full = list(yb) + [None] * (Xb.shape[0] - n_lab)
-
-            cache = model.forward_batch(net, Xb)
-            nll = nll_loss(cache.probs[:n_lab], yb)
-
-            loss = nll
-            tensors = {}
-            if pcfg.mode != "none":
-                tensors = perturb.compute_perturbation_tensors(
-                    net, Xb, labels_full, pcfg,
-                    seed=cfg.seed, epoch=epoch, batch_index=b, base=cache)
-
-            dlogits = np.zeros_like(cache.probs)
-            dlogits[:n_lab] = model.nll_dlogits(cache.probs[:n_lab], yb) / n_lab
-            grads, _ = model.backward_batch(net, cache, dlogits)
-
-            if tensors:
-                pert_cache = model.forward_batch(net, Xb, tensors)
-                lap = lap_loss_from_probs(cache.probs, pert_cache.probs)
-                loss = total_loss(nll, lap, pcfg.lam)
-                if pcfg.lam != 0.0:
-                    dl_pert = (pcfg.lam * model.kl_dlogits(cache.probs, pert_cache.probs)
-                               / Xb.shape[0])
-                    grads2, _ = model.backward_batch(net, pert_cache, dl_pert)
-                    for k in grads:
-                        grads[k] += grads2[k]
-
+            grads, loss = _batch_gradients(net, Xb, yb, pcfg, cfg.seed, epoch, b)
             rmsprop_step(params, grads, opt, cfg.learning_rate)
             batch_losses.append(loss)
 

@@ -50,6 +50,43 @@ def test_synth_output_preps_with_zero_cleaning_removals(tmp_path, capsys):
     assert len(split.attrs) == 2
 
 
+def test_prep_prints_what_cleaning_dropped(tmp_path, capsys):
+    csv_path = tmp_path / "fleet.csv"
+    run(capsys, "synth", "--healthy", "8", "--failed", "3", "--attrs", "2",
+        "--days", "45", "--seed", "1", "--out", str(csv_path))
+    lines = csv_path.read_text().splitlines()
+    header, first = lines[0], lines[1]
+    cols = header.split(",")
+    short = [f"2016-0{m}-01,SHORT1,M,4000,0,100,1.0,100,2.0" for m in (1, 2, 3)]
+    missing = first.split(",")
+    missing[cols.index("serial_number")] = "MISSING1"
+    missing[cols.index("smart_9_raw")] = ""
+    lines += [first] + short + [",".join(missing)]
+    csv_path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "prep", "--input", str(csv_path),
+                         "--out", str(tmp_path / "fleet.cache"), "--attrs",
+                         "smart_5_raw,smart_9_raw", "--clusters", "2",
+                         "--keep-frac", "1.0", "--window", "10", "--seed", "0")
+    assert code == 0, err
+    assert "rows deduplicated: 1\n" in out
+    assert "drives dropped for missing values: 1\n" in out
+    assert "drives dropped for short history: 1\n" in out
+    assert "healthy        10                8" in out
+
+
+def test_train_stops_on_a_non_finite_loss_and_writes_no_checkpoint(
+        fixture_pipeline, capsys, tmp_path):
+    _, cache_path, _, _ = fixture_pipeline
+    ckpt_path = tmp_path / "diverged.ckpt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, "train", "--data", str(cache_path),
+                           "--mode", "basic", "--epochs", "3", "--batch", "8",
+                           "--lr", "1e300", "--seed", "0", "--out", str(ckpt_path))
+    assert code == 1
+    assert "lpat train: epoch 1, batch 2: the nll term" in err
+    assert not ckpt_path.exists()
+
+
 def test_prep_keep_frac_one_drops_no_healthy_drive(tmp_path, capsys):
     cache_path = tmp_path / "fx.cache"
     code, out, _ = run(capsys, "prep", "--input", str(FIXTURE),

@@ -154,6 +154,12 @@ def test_scaling_params_reject_inverted_bounds():
         data.ScalingParams(v_min=[1.0], v_max=[0.0])
 
 
+def test_minmax_fit_rejects_a_range_beyond_float64():
+    tl = make_timeline("A", 2, lambda i: [1.0, 1.7e308 if i else -1.7e308])
+    with pytest.raises(ValueError, match="attribute 2 of 2 spans .* beyond the float64"):
+        data.minmax_fit([tl])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_minmax_apply_always_lands_in_unit_interval(a, b, v):
@@ -571,3 +577,68 @@ def test_prepare_dataset_window_longer_than_history_errors():
     with pytest.raises(ValueError):
         data.prepare_dataset(tls, attrs=data.DEFAULT_ATTRS[:2], clusters=1,
                              keep_frac=1.0, window=60, seed=0)
+
+
+# ------------------------------------------- property: no non-finite output
+
+PROP_ATTRS = ("smart_5_raw", "smart_9_raw")
+NON_FINITE_CELLS = ("nan", "NaN", "inf", "-inf", "Infinity")
+PREP_ERRORS = ("too few drives", "no samples produced", "cannot form",
+               "cannot fit scaling", "beyond the float64 range")
+
+
+@st.composite
+def backblaze_csv(draw):
+    """Backblaze-schema CSV text for a small fleet (17-19 days per drive,
+    enough for window 2), every cell a finite float, plus a few cells
+    overwritten with a non-finite or empty value."""
+    n_healthy = draw(st.integers(2, 4))
+    n_failed = draw(st.integers(1, 2))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    rows = []
+    for d in range(n_healthy + n_failed):
+        days = draw(st.integers(17, 19))
+        for i in range(days):
+            failure = "1" if d >= n_healthy and i == days - 1 else "0"
+            values = [repr(draw(cell)) for _ in PROP_ATTRS]
+            rows.append([(date(2016, 1, 1) + timedelta(days=i)).isoformat(),
+                         f"S{d:02d}", "M", "4000", failure, "100", values[0],
+                         "100", values[1]])
+    specials = draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.sampled_from((6, 8)),
+                  st.sampled_from(NON_FINITE_CELLS + ("",))), max_size=3))
+    for r, c, text in specials:
+        rows[r][c] = text
+    header = ("date,serial_number,model,capacity_bytes,failure,"
+              "smart_5_normalized,smart_5_raw,smart_9_normalized,smart_9_raw")
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    return text, any(t in NON_FINITE_CELLS for _, _, t in specials)
+
+
+@settings(max_examples=80, deadline=None)
+@given(backblaze_csv())
+def test_no_csv_yields_non_finite_scaling_or_features(tmp_path_factory, case):
+    """ingest_csv then prepare_dataset either raises its documented error or
+    gives finite scaling extrema and finite features."""
+    text, has_non_finite = case
+    path = tmp_path_factory.mktemp("prop") / "fleet.csv"
+    path.write_text(text)
+    if has_non_finite:
+        with pytest.raises(data.RowError, match="non-finite value"):
+            data.ingest_csv(path, PROP_ATTRS)
+        return
+    timelines = data.ingest_csv(path, PROP_ATTRS)
+    try:
+        # a value far outside the fitted range overflows to +-inf and is
+        # clipped into [0, 1]: no warning needed
+        with np.errstate(over="ignore"):
+            split, _ = data.prepare_dataset(timelines, attrs=PROP_ATTRS, clusters=1,
+                                            keep_frac=1.0, window=2, seed=0)
+    except ValueError as exc:
+        assert any(msg in str(exc) for msg in PREP_ERRORS), str(exc)
+        return
+    assert np.all(np.isfinite(split.scaling.v_min))
+    assert np.all(np.isfinite(split.scaling.v_max))
+    for part in (split.train_labeled, split.train_unlabeled, split.valid, split.test):
+        for s in part:
+            assert np.all(np.isfinite(s.features)), s.serial

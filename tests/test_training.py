@@ -1,3 +1,4 @@
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -304,6 +305,82 @@ def test_adversarial_modes_actually_train():
                             unlabeled_frac=0.0 if pcfg.mode == "supervised_at" else 1.0)
         net, report = training.train(data, cfg_run, pcfg)
         assert report.epochs[-1].valid_loss < report.epochs[0].valid_loss
+
+
+def _spy_updates(monkeypatch):
+    """Record the gradients of every RMSProp update ``training.train`` makes."""
+    updates = []
+    real_step = training.rmsprop_step
+
+    def spy_step(params, grads, state, lr):
+        updates.append({k: g.copy() for k, g in grads.items()})
+        real_step(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "rmsprop_step", spy_step)
+    return updates
+
+
+def test_a_non_finite_nll_stops_training_before_its_update(monkeypatch):
+    data = toy_dataset(seed=4, per_class=10)
+    data.train_labeled[7].features[2, 1] = np.nan
+    updates = _spy_updates(monkeypatch)
+    with pytest.raises(training.NonFiniteLossError,
+                       match=r"^epoch 1, batch \d+: the nll term") as info:
+        training.train(data, small_cfg(batch_size=8, epochs=3))
+    err = info.value
+    assert (err.epoch, err.term) == (1, "nll") and err.batch >= 1
+    # every batch before the bad one updated, with finite gradients only
+    assert len(updates) == err.batch - 1
+    assert all(np.all(np.isfinite(g)) for u in updates for g in u.values())
+
+
+def test_a_non_finite_unlabeled_window_stops_virtual_training_at_lap(monkeypatch):
+    data = toy_dataset(seed=4, per_class=10, n_unlabeled=1)
+    data.train_unlabeled[0].features[0, 0] = np.inf
+    updates = _spy_updates(monkeypatch)
+    pcfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
+                                      epsilon=0.5, xi=0.01, lam=0.0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            training.NonFiniteLossError,
+            match="^epoch 1, batch 1: the lap term") as info:
+        training.train(data, small_cfg(epochs=2), pcfg)
+    assert (info.value.epoch, info.value.batch, info.value.term) == (1, 1, "lap")
+    assert updates == []
+
+
+@pytest.mark.parametrize("mode,n_unlabeled", [("none", 8), ("supervised_at", 0),
+                                              ("virtual_at", 8)])
+def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
+        monkeypatch, mode, n_unlabeled):
+    """Each pass's LSTM internals are freed after their last reader: when
+    any LSTM pass starts (clean, probe, perturbed or validation), none of an
+    earlier pass's gates, c, tanh_c and h buffers is still alive. CPython
+    frees an array when its last reference goes, so the count is
+    deterministic."""
+    real_lstm = model._lstm_forward
+    passes = []
+    alive_at_start = []
+
+    def spy_lstm(p, x):
+        alive_at_start.append(sum(any(ref() is not None for ref in refs)
+                                  for refs in passes))
+        out = real_lstm(p, x)
+        # the returned arrays are views; their bases own the buffers
+        passes.append([weakref.ref(a.base) for a in out])
+        return out
+
+    monkeypatch.setattr(model, "_lstm_forward", spy_lstm)
+    updates = _spy_updates(monkeypatch)
+    data = toy_dataset(seed=3, per_class=10, n_unlabeled=n_unlabeled)
+    pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=0.5,
+                                      xi=0.1, lam=1.0)
+    training.train(data, small_cfg(epochs=2, unlabeled_frac=1.0 if n_unlabeled else 0.0),
+                   pcfg)
+    # clean pass, the three sequence probes, the perturbed pass; one
+    # validation pass per epoch
+    per_step = {"none": 1, "supervised_at": 2, "virtual_at": 5}[mode]
+    assert len(alive_at_start) == per_step * len(updates) + 2
+    assert max(alive_at_start) == 0
 
 
 # ------------------------------------------------------------------- predict
