@@ -9,6 +9,7 @@ success; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -241,6 +242,19 @@ def cmd_train(cfg: RunConfig) -> None:
         "attrs": ",".join(split.attrs),
         "vmin": ",".join(repr(float(v)) for v in split.scaling.v_min),
         "vmax": ",".join(repr(float(v)) for v in split.scaling.v_max),
+        # provenance of this checkpoint; eval and predict do not read it
+        "mode": cfg.mode,
+        "layers": pcfg.layers,
+        "epsilon": repr(pcfg.epsilon),
+        "xi": repr(pcfg.xi),
+        "lambda": repr(pcfg.lam),
+        "lr": repr(tcfg.learning_rate),
+        "epochs": str(tcfg.epochs),
+        "batch": str(tcfg.batch_size),
+        "seed": str(tcfg.seed),
+        "unlabeled_frac": repr(tcfg.unlabeled_frac),
+        "best_epoch": str(report.best_epoch),
+        "data_sha256": hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest(),
     }
     checkpoint_save(net, cfg.out, meta=meta)
     if cfg.report:
@@ -259,6 +273,11 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise CliError(
             f"checkpoint was trained with window {meta['window']}, "
             f"cache uses {split.window}")
+    attrs = ",".join(split.attrs)
+    if meta.get("attrs") not in (None, attrs):
+        raise CliError(
+            f"checkpoint was trained on attributes {meta['attrs']}, "
+            f"cache holds {attrs}")
     samples = split.valid if cfg.split == "valid" else split.test
     if not samples:
         raise CliError(f"the {cfg.split} split is empty")

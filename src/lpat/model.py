@@ -12,9 +12,13 @@ shaped per window as below, with a leading batch dimension:
     3  final LSTM hidden state        (lstm_units,)
     4  pre-softmax logits             (classes,)
 
-Forward caches every injection-point activation; backward returns exact
-reverse-mode gradients (full backpropagation through time) for all parameters
-and for the activation at every injection point. All arithmetic is float64.
+The training pass (``forward_batch``, ``resume_forward``) caches every
+injection-point activation and every step's LSTM internals; backward returns
+exact reverse-mode gradients (full backpropagation through time) for all
+parameters and for the activation at every injection point. The inference
+pass (``predict_proba``) keeps neither: its LSTM overwrites one (B, q) state
+block per step. Both passes share the LSTM input GEMM and gate math, so they
+give the same bits. All arithmetic is float64.
 """
 
 from __future__ import annotations
@@ -194,40 +198,86 @@ def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     return h_t, c_t
 
 
+def _input_gates(p: LstmParams, x: np.ndarray) -> np.ndarray:
+    """Gate pre-activations ``x W^T + b`` of every step of a (B, w, d)
+    batch, time-major (w, B, 4q), from one (w*B, d) GEMM; the gate math then
+    overwrites them in place step by step."""
+    B, w, d = x.shape
+    if w > 1:
+        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
+        gates = (x_tm @ p.W.T).reshape(w, B, 4 * p.units)
+    else:
+        # numpy sends a stack of single rows through GEMV, which sums in
+        # another order than GEMM; keep that call so every window length
+        # gives the same bits as the per-sample product
+        gates = (x @ p.W.T).reshape(1, B, 4 * p.units)
+    gates += p.b
+    return gates
+
+
+def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
+               c_prev: Optional[np.ndarray], c: np.ndarray, tanh_c: np.ndarray,
+               h: np.ndarray, rec: np.ndarray, fc: np.ndarray) -> None:
+    """One step of the gate math over a (B, .) block, in place.
+
+    ``g`` holds the step's input pre-activations and leaves holding the
+    activated gates i, f, o, j; ``c``, ``tanh_c`` and ``h`` receive the new
+    state. ``h_prev`` and ``c_prev`` are None at step 0 (h_0 = c_0 = 0: no
+    recurrent or forget term), and may be the very arrays ``h`` and ``c``:
+    both are read, into the scratch blocks ``rec`` (B, 4q) and ``fc``
+    (B, q), before either is written.
+    """
+    q = U.shape[1]
+    if h_prev is not None:
+        np.matmul(h_prev, U.T, out=rec)
+        g += rec
+    sigmoid(g[:, :3 * q], out=g[:, :3 * q])
+    np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
+    if c_prev is not None:
+        np.multiply(g[:, q:2 * q], c_prev, out=fc)
+    np.multiply(g[:, :q], g[:, 3 * q:], out=c)
+    if c_prev is not None:
+        c += fc
+    np.tanh(c, out=tanh_c)
+    np.multiply(g[:, 2 * q:3 * q], tanh_c, out=h)
+
+
 def _lstm_forward(p: LstmParams, x: np.ndarray):
     """Run the LSTM over (B, w, d) inputs; returns per-step internals.
 
     Storage is time-major, (w, B, .), so each step reads and writes
     contiguous (B, .) blocks; the returned arrays are (B, w, .) views of it.
     """
-    B, w, d = x.shape
+    gates = _input_gates(p, x)
+    w, B, _ = gates.shape
     q = p.units
-    # input contribution for every step at once, in one (w*B, d) GEMM; the
-    # gate math below then overwrites it in place step by step
-    if w > 1:
-        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
-        gates = (x_tm @ p.W.T).reshape(w, B, 4 * q)
-    else:
-        # numpy sends a stack of single rows through GEMV, which sums in
-        # another order than GEMM; keep that call so every window length
-        # gives the same bits as the per-sample product
-        gates = (x @ p.W.T).reshape(1, B, 4 * q)
-    gates += p.b
     c = np.empty((w, B, q))
     tanh_c = np.empty((w, B, q))
     h = np.empty((w, B, q))
+    rec, fc = np.empty((B, 4 * q)), np.empty((B, q))
     for t in range(w):
-        g = gates[t]
-        if t > 0:  # h_0 = c_0 = 0: step 0 has no recurrent or forget term
-            g += h[t - 1] @ p.U.T
-        sigmoid(g[:, :3 * q], out=g[:, :3 * q])
-        np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
-        np.multiply(g[:, :q], g[:, 3 * q:], out=c[t])
-        if t > 0:
-            c[t] += g[:, q:2 * q] * c[t - 1]
-        np.tanh(c[t], out=tanh_c[t])
-        np.multiply(g[:, 2 * q:3 * q], tanh_c[t], out=h[t])
+        h_prev, c_prev = (h[t - 1], c[t - 1]) if t > 0 else (None, None)
+        _lstm_cell(p.U, gates[t], h_prev, c_prev, c[t], tanh_c[t], h[t], rec, fc)
     return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
+
+
+def _lstm_last_hidden(p: LstmParams, x: np.ndarray) -> np.ndarray:
+    """Final hidden state (B, q) of the LSTM over (B, w, d) inputs, the
+    same bits as ``_lstm_forward(p, x)[3][:, -1]``.
+
+    Each step overwrites one (B, q) block of ``c``, ``tanh_c`` and ``h``, so
+    no step's internals outlive the next step; only the input pre-activations
+    of ``_input_gates`` span the window.
+    """
+    gates = _input_gates(p, x)
+    w, B, _ = gates.shape
+    q = p.units
+    c, tanh_c, h, fc = (np.empty((B, q)) for _ in range(4))
+    rec = np.empty((B, 4 * q))
+    for t in range(w):
+        h_prev, c_prev = (h, c) if t > 0 else (None, None)
+        _lstm_cell(p.U, gates[t], h_prev, c_prev, c, tanh_c, h, rec, fc)
+    return h
 
 
 def _check_pert_shapes(perts: dict, shapes: dict[int, tuple]) -> None:
@@ -237,6 +287,10 @@ def _check_pert_shapes(perts: dict, shapes: dict[int, tuple]) -> None:
         if np.shape(r) != shapes[m]:
             raise ShapeError(
                 f"perturbation at point {m} has shape {np.shape(r)}, expected {shapes[m]}")
+
+
+def _dense(p: DenseParams, x: np.ndarray) -> np.ndarray:
+    return x @ p.W.T + p.b
 
 
 def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
@@ -252,18 +306,30 @@ def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
         xhat[m] = a + perts[m] if m in perts else a
 
     if start < 1:
-        inject(1, xhat[0] @ net.dense1.W.T + net.dense1.b)
+        inject(1, _dense(net.dense1, xhat[0]))
     if start < 2:
-        inject(2, xhat[1] @ net.dense2.W.T + net.dense2.b)
+        inject(2, _dense(net.dense2, xhat[1]))
     if start < 3:
         lstm = _lstm_forward(net.lstm, xhat[2])
         inject(3, lstm[3][:, -1])
     if start < 4:
-        inject(4, xhat[3] @ net.dense3.W.T + net.dense3.b)
+        inject(4, _dense(net.dense3, xhat[3]))
     probs = softmax(xhat[4])
     if start >= 3:
         return Activations(xhat, probs)
     return ForwardCache(xhat, probs, *lstm)
+
+
+def _as_input(net: Network, X) -> np.ndarray:
+    """``X`` as a float (B, w, n) batch; ShapeError unless n is the
+    network's attribute count."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 3:
+        raise ShapeError(f"expected (batch, window, attrs) input, got shape {X.shape}")
+    if X.shape[2] != net.dense1.in_dim:
+        raise ShapeError(
+            f"input has {X.shape[2]} attributes, network expects {net.dense1.in_dim}")
+    return X
 
 
 def forward_batch(net: Network, X: np.ndarray,
@@ -273,13 +339,9 @@ def forward_batch(net: Network, X: np.ndarray,
     Perturbation tensors carry the batch dimension: point m in {0,1,2} is
     (B, w, dim_m), point 3 is (B, lstm_units), point 4 is (B, classes).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3:
-        raise ShapeError(f"expected (batch, window, attrs) input, got shape {X.shape}")
+    X = _as_input(net, X)
     B, w, n = X.shape
     d = net.dims
-    if n != d["n_attrs"]:
-        raise ShapeError(f"input has {n} attributes, network expects {d['n_attrs']}")
     perts = perts or {}
     _check_pert_shapes(perts, {
         0: (B, w, n), 1: (B, w, d["hidden1"]), 2: (B, w, d["hidden2"]),
@@ -305,11 +367,24 @@ def resume_forward(net: Network, base: Activations, point: int,
     return _forward_from(net, xhat, point, {})
 
 
+def _infer(net: Network, X) -> np.ndarray:
+    """``forward_batch(net, X).probs`` without its cache: the same layer
+    calls on the same operands, through ``_lstm_last_hidden``."""
+    h = _lstm_last_hidden(net.lstm, _dense(net.dense2, _dense(net.dense1, _as_input(net, X))))
+    return softmax(_dense(net.dense3, h))
+
+
 def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
-    """Class probabilities of a (B, w, n) batch, forwarded in chunks of
-    ``PREDICT_CHUNK`` windows; no perturbation is ever applied. An empty
-    batch gives a (0, classes) result."""
-    return np.concatenate([forward_batch(net, X[lo:lo + PREDICT_CHUNK]).probs
+    """Class probabilities of a (B, w, n) batch, bit for bit those of
+    ``forward_batch``, in chunks of ``PREDICT_CHUNK`` windows; no
+    perturbation is ever applied. An empty batch gives a (0, classes) result.
+
+    This is the inference pass: it keeps no activations and no ForwardCache,
+    and its LSTM keeps one (B, q) block each of ``c``, ``tanh_c`` and ``h``
+    instead of one per step. Only the chunk's input pre-activations (w, B, 4q)
+    span the window.
+    """
+    return np.concatenate([_infer(net, X[lo:lo + PREDICT_CHUNK])
                            for lo in range(0, max(len(X), 1), PREDICT_CHUNK)])
 
 

@@ -23,6 +23,7 @@ probe measures a finite jump, not the local curvature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -58,17 +59,18 @@ class PerturbationConfig:
         if self.mode != "none" and self.layers not in LAYER_SELECTIONS:
             raise ValueError(
                 f"layers must be one of {tuple(LAYER_SELECTIONS)}, got {self.layers!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
         for m, e in (self.epsilon_per_point or {}).items():
             if m not in model.ALL_POINTS:
                 raise ValueError(f"unknown injection point {m}")
-            if e < 0:
-                raise ValueError("per-point epsilon must be non-negative")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda weight must be non-negative")
+            if not math.isfinite(e) or e < 0:
+                raise ValueError(
+                    f"epsilon_per_point[{m}] must be finite and non-negative, got {e!r}")
+        if not math.isfinite(self.xi) or self.xi <= 0:
+            raise ValueError(f"xi must be finite and positive, got {self.xi!r}")
+        if not math.isfinite(self.lam) or self.lam < 0:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam!r}")
 
     @property
     def points(self) -> tuple[int, ...]:

@@ -49,8 +49,9 @@ class TrainConfig:
     lstm_units: int = 200
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch size and epochs must be positive")
         if not 0.0 <= self.unlabeled_frac <= 1.0:

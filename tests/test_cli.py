@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpat import cache, cli, evaluate, training
-from lpat.checkpoint import checkpoint_load
+from lpat.checkpoint import checkpoint_load, checkpoint_save
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
 
@@ -87,6 +88,29 @@ def test_train_stops_on_a_non_finite_loss_and_writes_no_checkpoint(
     assert not ckpt_path.exists()
 
 
+@pytest.mark.parametrize("source,key,value,field", [
+    ("flag", "lr", "nan", "learning_rate"),
+    ("config", "xi", "inf", "xi"),
+])
+def test_train_rejects_a_non_finite_hyperparameter_and_writes_no_checkpoint(
+        fixture_pipeline, capsys, tmp_path, source, key, value, field):
+    _, cache_path, _, _ = fixture_pipeline
+    ckpt_path = tmp_path / "never.ckpt"
+    args = ["train", "--data", str(cache_path), "--mode", "lpat", "--epochs", "2",
+            "--batch", "8", "--out", str(ckpt_path)]
+    if source == "flag":
+        args += [f"--{key}", value]
+    else:
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(f"{key}={value}\n")
+        args += ["--config", str(cfg_path)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run(capsys, *args)
+    assert code == 1
+    assert f"lpat train: {field} must be finite" in err
+    assert not ckpt_path.exists()
+
+
 def test_prep_keep_frac_one_drops_no_healthy_drive(tmp_path, capsys):
     cache_path = tmp_path / "fx.cache"
     code, out, _ = run(capsys, "prep", "--input", str(FIXTURE),
@@ -154,6 +178,42 @@ def test_eval_writes_round_trippable_metrics(fixture_pipeline, capsys, tmp_path)
     assert "Accuracy" in out and "Macro-F1" in out and "<=15" in out
     report = evaluate.parse_metrics(metrics_path.read_text())
     assert report.total == 33
+
+
+def test_train_records_provenance_in_the_checkpoint(fixture_pipeline):
+    _, cache_path, ckpt_path, _ = fixture_pipeline
+    _, meta = checkpoint_load(ckpt_path)
+    expected = {
+        "mode": "basic", "layers": "all", "epsilon": "20.0", "xi": "10.0",
+        "lambda": "1.0", "lr": "0.001", "epochs": "2", "batch": "8", "seed": "0",
+        "unlabeled_frac": "1.0", "best_epoch": "2",
+        "data_sha256": hashlib.sha256(cache_path.read_bytes()).hexdigest(),
+    }
+    assert {k: meta.get(k) for k in expected} == expected
+
+
+def test_eval_rejects_a_cache_with_other_attributes(fixture_pipeline, capsys, tmp_path):
+    _, _, ckpt_path, _ = fixture_pipeline
+    swapped = tmp_path / "swapped.cache"
+    assert cli.main(["prep", "--input", str(FIXTURE), "--out", str(swapped),
+                     "--attrs", "smart_187_raw,smart_5_raw", "--clusters", "1",
+                     "--keep-frac", "1.0", "--window", "1", "--seed", "0"]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "eval", "--data", str(swapped),
+                         "--checkpoint", str(ckpt_path))
+    assert code == 1 and not out
+    assert ("checkpoint was trained on attributes smart_5_raw,smart_187_raw, "
+            "cache holds smart_187_raw,smart_5_raw") in err
+
+    # a checkpoint without the attrs entry is scored as before
+    net, meta = checkpoint_load(ckpt_path)
+    del meta["attrs"]
+    bare = tmp_path / "bare.ckpt"
+    checkpoint_save(net, bare, meta=meta)
+    code, out, err = run(capsys, "eval", "--data", str(swapped),
+                         "--checkpoint", str(bare))
+    assert code == 0, err
+    assert "Macro-F1" in out
 
 
 def test_eval_empty_valid_split_is_an_error(fixture_pipeline, capsys):

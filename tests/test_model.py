@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,63 @@ def test_forward_rejects_bad_input_and_perturbation_shapes():
         model.forward_batch(net, np.zeros((1, 3, 2)), {3: np.zeros((1, 7))})
     with pytest.raises(model.ShapeError):
         model.forward_batch(net, np.zeros((1, 3, 2)), {9: np.zeros((1, 5))})
+
+
+WIDTHS = {"tiny": tuple(TINY.values()), "default": (8, 128, 128, 200, 3)}
+
+
+@pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS.keys())
+def test_predict_proba_is_the_forward_batch_output_bit_for_bit(widths):
+    net = model.init_network(*widths, seed=4)
+    n = widths[0]
+    rng = np.random.default_rng(4)
+    for B in (1, 2, 7, 310, 512):
+        for w in (1, 3, 20):
+            X = rng.uniform(size=(B, w, n))
+            assert np.array_equal(model.predict_proba(net, X),
+                                  model.forward_batch(net, X).probs), (B, w)
+    empty = model.predict_proba(net, np.zeros((0, 3, n)))
+    assert empty.shape == (0, 3)
+    with pytest.raises(model.ShapeError):
+        model.predict_proba(net, np.zeros((1, 3, n + 1)))
+    with pytest.raises(model.ShapeError):
+        model.predict_proba(net, np.zeros((1, 3 * n)))
+
+
+def test_predict_proba_runs_each_chunk_as_forward_batch_would():
+    net = tiny_net(5)
+    X = np.random.default_rng(5).normal(size=(1100, 4, 2))
+    probs = model.predict_proba(net, X)
+    assert probs.shape == (1100, 3)
+    for lo in range(0, 1100, model.PREDICT_CHUNK):
+        chunk = slice(lo, lo + model.PREDICT_CHUNK)
+        assert np.array_equal(probs[chunk], model.forward_batch(net, X[chunk]).probs)
+
+
+def test_predict_proba_keeps_no_per_step_lstm_state(monkeypatch):
+    """The inference pass never builds the training pass's per-step c,
+    tanh_c and h (3 * w * B * q float64 values); it peaks at least that much
+    below forward_batch."""
+    B, w, widths = 310, 20, WIDTHS["default"]
+    net = model.init_network(*widths, seed=0)
+    X = np.random.default_rng(0).uniform(size=(B, w, widths[0]))
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forward_peak = peak_bytes(lambda: model.forward_batch(net, X).probs)
+
+    def no_training_pass(p, x):
+        raise AssertionError("predict_proba ran the training LSTM pass")
+
+    monkeypatch.setattr(model, "_lstm_forward", no_training_pass)
+    predict_peak = peak_bytes(lambda: model.predict_proba(net, X))
+    assert forward_peak - predict_peak >= 3 * w * B * widths[3] * 8
 
 
 def test_forward_probabilities_form_a_distribution():

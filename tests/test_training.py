@@ -1,3 +1,4 @@
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -353,33 +354,46 @@ def test_a_non_finite_unlabeled_window_stops_virtual_training_at_lap(monkeypatch
 def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
         monkeypatch, mode, n_unlabeled):
     """Each pass's LSTM internals are freed after their last reader: when
-    any LSTM pass starts (clean, probe, perturbed or validation), none of an
-    earlier pass's gates, c, tanh_c and h buffers is still alive. CPython
-    frees an array when its last reference goes, so the count is
-    deterministic."""
+    any LSTM pass starts (clean, probe, perturbed, or the inference pass of
+    validation), none of an earlier training pass's gates, c, tanh_c and h
+    buffers is still alive. CPython frees an array when its last reference
+    goes, so the count is deterministic."""
     real_lstm = model._lstm_forward
+    real_last_hidden = model._lstm_last_hidden
     passes = []
     alive_at_start = []
+    inference_passes = []
 
-    def spy_lstm(p, x):
+    def count_alive():
         alive_at_start.append(sum(any(ref() is not None for ref in refs)
                                   for refs in passes))
+
+    def spy_lstm(p, x):
+        count_alive()
         out = real_lstm(p, x)
         # the returned arrays are views; their bases own the buffers
         passes.append([weakref.ref(a.base) for a in out])
         return out
 
+    def spy_last_hidden(p, x):
+        count_alive()
+        inference_passes.append(len(x))
+        return real_last_hidden(p, x)
+
     monkeypatch.setattr(model, "_lstm_forward", spy_lstm)
+    monkeypatch.setattr(model, "_lstm_last_hidden", spy_last_hidden)
     updates = _spy_updates(monkeypatch)
     data = toy_dataset(seed=3, per_class=10, n_unlabeled=n_unlabeled)
     pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=0.5,
                                       xi=0.1, lam=1.0)
-    training.train(data, small_cfg(epochs=2, unlabeled_frac=1.0 if n_unlabeled else 0.0),
-                   pcfg)
-    # clean pass, the three sequence probes, the perturbed pass; one
-    # validation pass per epoch
+    epochs = 2
+    training.train(data, small_cfg(epochs=epochs,
+                                   unlabeled_frac=1.0 if n_unlabeled else 0.0), pcfg)
+    # training passes: the clean pass, the three sequence probes, the
+    # perturbed pass; validation runs one inference pass per epoch
     per_step = {"none": 1, "supervised_at": 2, "virtual_at": 5}[mode]
-    assert len(alive_at_start) == per_step * len(updates) + 2
+    assert len(passes) == per_step * len(updates)
+    assert inference_passes == [len(data.valid)] * epochs
     assert max(alive_at_start) == 0
 
 
@@ -449,3 +463,19 @@ def test_config_validation():
         training.TrainConfig(unlabeled_frac=1.5)
     with pytest.raises(ValueError):
         training.TrainConfig(seed=-1)
+
+
+NON_FINITE_FIELDS = {
+    "learning_rate": lambda v: training.TrainConfig(learning_rate=v),
+    "epsilon": lambda v: perturb.PerturbationConfig(epsilon=v),
+    "epsilon_per_point[2]": lambda v: perturb.PerturbationConfig(epsilon_per_point={2: v}),
+    "xi": lambda v: perturb.PerturbationConfig(xi=v),
+    "lam": lambda v: perturb.PerturbationConfig(lam=v),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_config_rejects_a_non_finite_hyperparameter_naming_it(field, value):
+    with pytest.raises(ValueError, match="^" + re.escape(field) + " must be finite"):
+        NON_FINITE_FIELDS[field](value)
