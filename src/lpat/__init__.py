@@ -12,7 +12,6 @@ from .model import (
     backward_batch,
     forward_batch,
     init_network,
-    lstm_step,
     predict_proba,
     softmax,
 )
@@ -32,12 +31,7 @@ from .data import (
     SmartRecord,
 )
 from .evaluate import MetricsReport, evaluate as evaluate_samples
-from .perturb import (
-    PerturbationConfig,
-    compute_perturbation_tensors,
-    kl_divergence,
-    supervised_perturbation,
-)
+from .perturb import PerturbationConfig, compute_perturbation_tensors
 from .synthetic import SynthConfig, generate_synthetic
 from .training import (
     NonFiniteLossError,

@@ -29,6 +29,7 @@ MODE_MAP = {
     "lpat": "virtual_at",
 }
 DEFAULT_LAYERS = {"basic": "all", "at": "input", "vat": "input", "lpat": "all"}
+PROB_DECIMALS = 3  # places of the probabilities predict prints
 
 
 class CliError(Exception):
@@ -158,15 +159,6 @@ class RunConfig:
                 raise CliError(f"{command}: --{name} is required")
         return cls(command=command, values=values)
 
-    def save(self, path) -> None:
-        flags = {f.dest: f.name for f in SCHEMAS[self.command]}
-        lines = [f"# lpat {self.command} config"]
-        for dest, name in flags.items():
-            value = self.values[dest]
-            if value is not None:
-                lines.append(f"{name}={value}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -233,15 +225,23 @@ def _train_configs(cfg: RunConfig, has_unlabeled: bool
     return tcfg, pcfg
 
 
+def _pipeline_meta(split) -> dict[str, str]:
+    """Checkpoint meta tying a model to its data: ``train`` writes it,
+    ``eval`` checks it against the cache, ``predict`` scales rows with it."""
+    return {
+        "window": str(split.window),
+        "attrs": ",".join(split.attrs),
+        "vmin": ",".join(repr(float(v)) for v in split.scaling.v_min),
+        "vmax": ",".join(repr(float(v)) for v in split.scaling.v_max),
+    }
+
+
 def cmd_train(cfg: RunConfig) -> None:
     split = cache.load_split(cfg.data)
     tcfg, pcfg = _train_configs(cfg, bool(split.train_unlabeled))
     net, report = training.train(split, tcfg, pcfg)
     meta = {
-        "window": str(split.window),
-        "attrs": ",".join(split.attrs),
-        "vmin": ",".join(repr(float(v)) for v in split.scaling.v_min),
-        "vmax": ",".join(repr(float(v)) for v in split.scaling.v_max),
+        **_pipeline_meta(split),
         # provenance of this checkpoint; eval and predict do not read it
         "mode": cfg.mode,
         "layers": pcfg.layers,
@@ -269,15 +269,12 @@ def cmd_eval(cfg: RunConfig) -> None:
     split = cache.load_split(cfg.data)
     net, meta = checkpoint_load(cfg.checkpoint,
                                 expect={"n_attrs": len(split.attrs)})
-    if meta.get("window") not in (None, str(split.window)):
-        raise CliError(
-            f"checkpoint was trained with window {meta['window']}, "
-            f"cache uses {split.window}")
-    attrs = ",".join(split.attrs)
-    if meta.get("attrs") not in (None, attrs):
-        raise CliError(
-            f"checkpoint was trained on attributes {meta['attrs']}, "
-            f"cache holds {attrs}")
+    # a checkpoint that lacks an entry is not checked on it
+    for key, cached in _pipeline_meta(split).items():
+        if meta.get(key) not in (None, cached):
+            what = "attributes" if key == "attrs" else key
+            raise CliError(f"checkpoint was trained on {what} {meta[key]}, "
+                           f"cache holds {cached}")
     samples = split.valid if cfg.split == "valid" else split.test
     if not samples:
         raise CliError(f"the {cfg.split} split is empty")
@@ -288,11 +285,11 @@ def cmd_eval(cfg: RunConfig) -> None:
         print(f"metrics written to {cfg.report}")
 
 
-def _format_probs(probs, decimals: int = 3) -> str:
+def _format_probs(probs) -> str:
     """Rounded probabilities adjusted to sum to exactly 1 at print precision."""
-    r = [round(float(p), decimals) for p in probs]
+    r = [round(float(p), PROB_DECIMALS) for p in probs]
     r[int(np.argmax(r))] += 1.0 - sum(r)
-    return "[" + ", ".join(f"{v:.{decimals}f}" for v in r) + "]"
+    return "[" + ", ".join(f"{v:.{PROB_DECIMALS}f}" for v in r) + "]"
 
 
 def cmd_predict(cfg: RunConfig) -> None:

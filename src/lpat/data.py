@@ -29,6 +29,9 @@ MIN_EXTRA_DAYS = 15       # drives need window + this many days to survive clean
 
 BASE_COLUMNS = ("date", "serial_number", "model", "failure")
 
+CAPACITY_BYTES = 4_000_000_000_000  # the capacity column write_backblaze_csv fills in
+KMEANS_MAX_ITER = 100
+
 
 class SchemaError(ValueError):
     """CSV header lacks a required column."""
@@ -95,14 +98,13 @@ class DatasetSplit:
 
 # --------------------------------------------------------------------- ingest
 
-def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS,
-               lenient: bool = False) -> list[DriveTimeline]:
+def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS) -> list[DriveTimeline]:
     """One date-sorted DriveTimeline per serial in a Backblaze-schema CSV.
 
     Missing cells stay None until cleaning. Rows dated after a drive's
     failure row are dropped so the failure date always closes the timeline.
     Unparseable rows, and rows with a ``nan`` or ``inf`` cell, raise RowError
-    with their line number, or are skipped when ``lenient`` is set.
+    with their line number.
     """
     attr_list = tuple(attr_list)
     rows_by_serial: dict[str, list[SmartRecord]] = {}
@@ -118,12 +120,7 @@ def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS,
                 raise SchemaError(f"{path}: missing column {name!r}")
         idx = [col[a] for a in attr_list]
         for line_no, row in enumerate(reader, start=2):
-            try:
-                rec = _parse_row(row, col, idx, attr_list, line_no)
-            except RowError:
-                if lenient:
-                    continue
-                raise
+            rec = _parse_row(row, col, idx, attr_list, line_no)
             rows_by_serial.setdefault(rec.serial, []).append(rec)
 
     timelines = []
@@ -172,8 +169,7 @@ def _parse_row(row, col, attr_idx, attr_list, line_no) -> SmartRecord:
                        failure=failure_raw == "1", attrs=tuple(attrs))
 
 
-def write_backblaze_csv(timelines, attrs: Sequence[str], path,
-                        capacity_bytes: int = 4_000_000_000_000) -> None:
+def write_backblaze_csv(timelines, attrs: Sequence[str], path) -> None:
     """Emit timelines in the Backblaze daily-snapshot schema.
 
     One row per (drive, day), date-ordered within a drive; the normalized
@@ -191,7 +187,7 @@ def write_backblaze_csv(timelines, attrs: Sequence[str], path,
         for tl in timelines:
             for rec in tl.records:
                 row = [rec.date.isoformat(), tl.serial, rec.model,
-                       str(capacity_bytes), "1" if rec.failure else "0"]
+                       str(CAPACITY_BYTES), "1" if rec.failure else "0"]
                 for v in rec.attrs:
                     row.extend(["100", "" if v is None else repr(float(v))])
                 writer.writerow(row)
@@ -276,12 +272,13 @@ def scale_timeline(tl: DriveTimeline, params: ScalingParams) -> np.ndarray:
 
 # -------------------------------------------------------------------- k-means
 
-def lloyd_kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100):
+def lloyd_kmeans(points: np.ndarray, k: int, seed: int = 0):
     """Deterministic Lloyd iterations with farthest-point seeding.
 
     Returns (labels, centroids, objective history); the objective (sum of
     squared distances to the assigned centroid) is recorded once per
-    assignment step. Empty clusters retain their previous centroid.
+    assignment step, for at most ``KMEANS_MAX_ITER`` steps. Empty clusters
+    retain their previous centroid.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -298,7 +295,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100)
 
     labels = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist2 = ((points[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist2.argmin(axis=1)
         history.append(float(dist2[np.arange(n), new_labels].sum()))

@@ -173,31 +173,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def lstm_step(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-              params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell update.
-
-    a_hat = W x_t + U h_prev + b per gate; i, f, o pass through the sigmoid,
-    j through tanh; c_t = i*j + f*c_prev; h_t = o*tanh(c_t).
-    """
-    x_t = np.asarray(x_t, dtype=float)
-    h_prev = np.asarray(h_prev, dtype=float)
-    c_prev = np.asarray(c_prev, dtype=float)
-    q = params.units
-    if x_t.shape[-1] != params.in_dim:
-        raise ShapeError(f"lstm input has {x_t.shape[-1]} features, expected {params.in_dim}")
-    if h_prev.shape[-1] != q or c_prev.shape[-1] != q:
-        raise ShapeError(f"lstm state width must be {q}")
-    a = x_t @ params.W.T + h_prev @ params.U.T + params.b
-    i_t = sigmoid(a[..., :q])
-    f_t = sigmoid(a[..., q:2 * q])
-    o_t = sigmoid(a[..., 2 * q:3 * q])
-    j_t = np.tanh(a[..., 3 * q:])
-    c_t = i_t * j_t + f_t * c_prev
-    h_t = o_t * np.tanh(c_t)
-    return h_t, c_t
-
-
 def _input_gates(p: LstmParams, x: np.ndarray) -> np.ndarray:
     """Gate pre-activations ``x W^T + b`` of every step of a (B, w, d)
     batch, time-major (w, B, 4q), from one (w*B, d) GEMM; the gate math then
@@ -242,42 +217,23 @@ def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
     np.multiply(g[:, 2 * q:3 * q], tanh_c, out=h)
 
 
-def _lstm_forward(p: LstmParams, x: np.ndarray):
-    """Run the LSTM over (B, w, d) inputs; returns per-step internals.
-
-    Storage is time-major, (w, B, .), so each step reads and writes
-    contiguous (B, .) blocks; the returned arrays are (B, w, .) views of it.
-    """
+def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
+    """Run the LSTM over (B, w, d) inputs; returns the gates, ``c``,
+    ``tanh_c`` and ``h`` as (B, ., .) views of time-major storage, so each
+    step reads and writes contiguous (B, .) blocks. With ``history`` each
+    step keeps its own blocks; without it every step overwrites the same
+    ones, so ``c``, ``tanh_c`` and ``h`` hold only the final state."""
     gates = _input_gates(p, x)
     w, B, _ = gates.shape
     q = p.units
-    c = np.empty((w, B, q))
-    tanh_c = np.empty((w, B, q))
-    h = np.empty((w, B, q))
+    depth = w if history else 1
+    c, tanh_c, h = (np.empty((depth, B, q)) for _ in range(3))
     rec, fc = np.empty((B, 4 * q)), np.empty((B, q))
     for t in range(w):
-        h_prev, c_prev = (h[t - 1], c[t - 1]) if t > 0 else (None, None)
-        _lstm_cell(p.U, gates[t], h_prev, c_prev, c[t], tanh_c[t], h[t], rec, fc)
+        s = t if history else 0
+        h_prev, c_prev = (h[s - 1], c[s - 1]) if t > 0 else (None, None)
+        _lstm_cell(p.U, gates[t], h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
     return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
-
-
-def _lstm_last_hidden(p: LstmParams, x: np.ndarray) -> np.ndarray:
-    """Final hidden state (B, q) of the LSTM over (B, w, d) inputs, the
-    same bits as ``_lstm_forward(p, x)[3][:, -1]``.
-
-    Each step overwrites one (B, q) block of ``c``, ``tanh_c`` and ``h``, so
-    no step's internals outlive the next step; only the input pre-activations
-    of ``_input_gates`` span the window.
-    """
-    gates = _input_gates(p, x)
-    w, B, _ = gates.shape
-    q = p.units
-    c, tanh_c, h, fc = (np.empty((B, q)) for _ in range(4))
-    rec = np.empty((B, 4 * q))
-    for t in range(w):
-        h_prev, c_prev = (h, c) if t > 0 else (None, None)
-        _lstm_cell(p.U, gates[t], h_prev, c_prev, c, tanh_c, h, rec, fc)
-    return h
 
 
 def _check_pert_shapes(perts: dict, shapes: dict[int, tuple]) -> None:
@@ -369,8 +325,9 @@ def resume_forward(net: Network, base: Activations, point: int,
 
 def _infer(net: Network, X) -> np.ndarray:
     """``forward_batch(net, X).probs`` without its cache: the same layer
-    calls on the same operands, through ``_lstm_last_hidden``."""
-    h = _lstm_last_hidden(net.lstm, _dense(net.dense2, _dense(net.dense1, _as_input(net, X))))
+    calls on the same operands, through the history-free LSTM pass."""
+    x2 = _dense(net.dense2, _dense(net.dense1, _as_input(net, X)))
+    h = _lstm_forward(net.lstm, x2, history=False)[3][:, -1]
     return softmax(_dense(net.dense3, h))
 
 

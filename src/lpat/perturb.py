@@ -84,27 +84,9 @@ class PerturbationConfig:
         return self.epsilon
 
 
-def supervised_perturbation(g: np.ndarray, eps: float) -> np.ndarray:
-    """r* = -eps * g/||g||2; exactly zero when eps is 0 or the gradient is
-    numerically zero (||g||2 < 1e-12)."""
-    g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g.ravel()))
-    if eps == 0.0 or norm < NORM_FLOOR:
-        return np.zeros_like(g)
-    return (-eps / norm) * g
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats over the class simplex, log arguments floored at
-    1e-12 so degenerate inputs stay finite; clamped below at exactly 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    val = float(np.sum(p * np.log(np.maximum(p, PROB_FLOOR) / np.maximum(q, PROB_FLOOR))))
-    return max(0.0, val)
-
-
 def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Row-wise KL(P_i || Q_i) with the same floors as kl_divergence."""
+    """Row-wise KL(P_i || Q_i) in nats, log arguments floored at 1e-12 so
+    degenerate rows stay finite; each row clamped below at exactly 0."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     vals = np.sum(P * np.log(np.maximum(P, PROB_FLOOR) / np.maximum(Q, PROB_FLOOR)), axis=-1)

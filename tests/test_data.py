@@ -52,7 +52,7 @@ def test_ingest_missing_requested_column_names_it(tmp_path):
         data.ingest_csv(p, ["smart_5_raw"])
 
 
-def test_ingest_bad_row_reports_line_number_and_lenient_skips(tmp_path):
+def test_ingest_bad_row_reports_line_number(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(
         "date,serial_number,model,capacity_bytes,failure,smart_5_raw\n"
@@ -61,12 +61,10 @@ def test_ingest_bad_row_reports_line_number_and_lenient_skips(tmp_path):
         "2016-01-03,A,M,1,0,7\n")
     with pytest.raises(data.RowError, match="line 3"):
         data.ingest_csv(p, ["smart_5_raw"])
-    tls = data.ingest_csv(p, ["smart_5_raw"], lenient=True)
-    assert len(tls) == 1 and len(tls[0].records) == 2
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
-def test_ingest_non_finite_cell_is_a_row_error_and_lenient_skips(tmp_path, cell):
+def test_ingest_non_finite_cell_is_a_row_error(tmp_path, cell):
     p = tmp_path / "nan.csv"
     p.write_text(
         "date,serial_number,model,capacity_bytes,failure,smart_5_raw\n"
@@ -75,8 +73,6 @@ def test_ingest_non_finite_cell_is_a_row_error_and_lenient_skips(tmp_path, cell)
         "2016-01-03,A,M,1,0,7\n")
     with pytest.raises(data.RowError, match="line 3: non-finite value"):
         data.ingest_csv(p, ["smart_5_raw"])
-    tls = data.ingest_csv(p, ["smart_5_raw"], lenient=True)
-    assert [r.attrs for r in tls[0].records] == [(5.0,), (7.0,)]
 
 
 def test_ingest_missing_cell_becomes_none(tmp_path):

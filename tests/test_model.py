@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lpat import checkpoint as ckpt
 from lpat import model
 
-from oracles import central_diff_grad, fd_grad_wrt, rel_error
+from oracles import central_diff_grad, fd_grad_wrt, lstm_step, rel_error
 
 TINY = dict(n_attrs=2, hidden1=4, hidden2=4, lstm_units=5, classes=3)
 
@@ -33,7 +33,7 @@ def zero_lstm(d, q):
 
 def test_lstm_step_all_zero_gives_zero_state():
     p = zero_lstm(2, 3)
-    h, c = model.lstm_step(np.ones(2), np.zeros(3), np.zeros(3), p)
+    h, c = lstm_step(np.ones(2), np.zeros(3), np.zeros(3), p)
     assert np.array_equal(h, np.zeros(3))
     assert np.array_equal(c, np.zeros(3))
 
@@ -41,7 +41,7 @@ def test_lstm_step_all_zero_gives_zero_state():
 def test_lstm_step_zero_params_nonzero_cell():
     # gates sit at 0.5, candidate at 0: c = 0.5*2 = 1, h = 0.5*tanh(1)
     p = zero_lstm(1, 1)
-    h, c = model.lstm_step(np.array([7.0]), np.zeros(1), np.array([2.0]), p)
+    h, c = lstm_step(np.array([7.0]), np.zeros(1), np.array([2.0]), p)
     assert c[0] == pytest.approx(1.0, abs=1e-12)
     assert h[0] == pytest.approx(0.5 * np.tanh(1.0), abs=1e-12)
     assert h[0] == pytest.approx(0.380797, abs=1e-6)
@@ -50,9 +50,9 @@ def test_lstm_step_zero_params_nonzero_cell():
 def test_lstm_step_shape_mismatch_raises():
     p = zero_lstm(2, 3)
     with pytest.raises(model.ShapeError):
-        model.lstm_step(np.zeros(4), np.zeros(3), np.zeros(3), p)
+        lstm_step(np.zeros(4), np.zeros(3), np.zeros(3), p)
     with pytest.raises(model.ShapeError):
-        model.lstm_step(np.zeros(2), np.zeros(2), np.zeros(3), p)
+        lstm_step(np.zeros(2), np.zeros(2), np.zeros(3), p)
 
 
 def test_lstm_step_agrees_with_batched_forward():
@@ -65,7 +65,7 @@ def test_lstm_step_agrees_with_batched_forward():
     _, c_seq, _, h_seq = model._lstm_forward(p, x)
     h, c = np.zeros(q), np.zeros(q)
     for t in range(w):
-        h, c = model.lstm_step(x[0, t], h, c, p)
+        h, c = lstm_step(x[0, t], h, c, p)
         np.testing.assert_allclose(h, h_seq[0, t], atol=1e-12)
         np.testing.assert_allclose(c, c_seq[0, t], atol=1e-12)
 
@@ -179,8 +179,12 @@ def test_predict_proba_keeps_no_per_step_lstm_state(monkeypatch):
 
     forward_peak = peak_bytes(lambda: model.forward_batch(net, X).probs)
 
-    def no_training_pass(p, x):
-        raise AssertionError("predict_proba ran the training LSTM pass")
+    real_lstm = model._lstm_forward
+
+    def no_training_pass(p, x, history=True):
+        if history:
+            raise AssertionError("predict_proba ran the training LSTM pass")
+        return real_lstm(p, x, history)
 
     monkeypatch.setattr(model, "_lstm_forward", no_training_pass)
     predict_peak = peak_bytes(lambda: model.predict_proba(net, X))

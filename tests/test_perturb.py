@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from lpat import model, perturb
 
-from oracles import abs_cosine, central_diff_hessian, dominant_eigenvector, rel_error
+from oracles import (
+    abs_cosine,
+    central_diff_hessian,
+    dominant_eigenvector,
+    kl_divergence,
+    supervised_perturbation,
+)
 
 TINY = dict(n_attrs=2, hidden1=4, hidden2=4, lstm_units=5, classes=3)
 
@@ -28,17 +34,17 @@ def vat_cfg(**kw):
 # ------------------------------------------------------- supervised direction
 
 def test_supervised_three_four_five_normalization():
-    r = perturb.supervised_perturbation(np.array([3.0, 4.0]), 10.0)
+    r = supervised_perturbation(np.array([3.0, 4.0]), 10.0)
     np.testing.assert_allclose(r, [-6.0, -8.0], atol=1e-12)
 
 
 def test_supervised_zero_gradient_gives_exact_zero():
-    r = perturb.supervised_perturbation(np.zeros((4, 2)), 5.0)
+    r = supervised_perturbation(np.zeros((4, 2)), 5.0)
     assert np.array_equal(r, np.zeros((4, 2)))
 
 
 def test_supervised_zero_epsilon_gives_exact_zero():
-    r = perturb.supervised_perturbation(np.array([1.0, 2.0]), 0.0)
+    r = supervised_perturbation(np.array([1.0, 2.0]), 0.0)
     assert np.array_equal(r, np.zeros(2))
 
 
@@ -48,14 +54,14 @@ def test_supervised_zero_epsilon_gives_exact_zero():
        st.floats(1e-3, 50.0))
 def test_supervised_norm_contract_and_exact_halving(g_list, eps):
     g = np.array(g_list)
-    r = perturb.supervised_perturbation(g, eps)
+    r = supervised_perturbation(g, eps)
     if np.linalg.norm(g) < perturb.NORM_FLOOR:
         assert np.array_equal(r, np.zeros_like(g))
     else:
         assert abs(np.linalg.norm(r) - eps) < 1e-9
         # descend the log-likelihood: r points against g
         assert float(np.dot(r, g)) <= 0.0
-        half = perturb.supervised_perturbation(g, eps / 2.0)
+        half = supervised_perturbation(g, eps / 2.0)
         assert np.array_equal(half * 2.0, r)
 
 
@@ -69,17 +75,17 @@ def simplex3(values):
 
 def test_kl_of_identical_distributions_is_zero():
     for p in ([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [1 / 3] * 3):
-        assert perturb.kl_divergence(p, p) == 0.0
+        assert kl_divergence(p, p) == 0.0
 
 
 def test_kl_closed_form_ln2():
-    val = perturb.kl_divergence([1.0, 0.0, 0.0], [0.5, 0.5, 0.0])
+    val = kl_divergence([1.0, 0.0, 0.0], [0.5, 0.5, 0.0])
     assert val == pytest.approx(np.log(2.0), abs=1e-12)
     assert val == pytest.approx(0.693147, abs=1e-6)
 
 
 def test_kl_floor_keeps_degenerate_pairs_finite():
-    val = perturb.kl_divergence([0.5, 0.5, 0.0], [1.0, 0.0, 0.0])
+    val = kl_divergence([0.5, 0.5, 0.0], [1.0, 0.0, 0.0])
     expected = 0.5 * np.log(0.5) + 0.5 * np.log(0.5 / 1e-12)
     assert np.isfinite(val)
     assert val == pytest.approx(expected, rel=1e-12)
@@ -90,7 +96,7 @@ def test_kl_floor_keeps_degenerate_pairs_finite():
        st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
 def test_kl_nonnegative_on_simplex_pairs(pv, qv):
     p, q = simplex3(pv), simplex3(qv)
-    val = perturb.kl_divergence(p, q)
+    val = kl_divergence(p, q)
     assert val >= 0.0
     if np.max(np.abs(p - q)) > 1e-6:
         assert val > 0.0
@@ -102,7 +108,7 @@ def test_kl_rows_matches_scalar_version():
     Q = rng.dirichlet(np.ones(3), size=16)
     rows = perturb.kl_rows(P, Q)
     for i in range(16):
-        assert rows[i] == pytest.approx(perturb.kl_divergence(P[i], Q[i]), rel=1e-12)
+        assert rows[i] == pytest.approx(kl_divergence(P[i], Q[i]), rel=1e-12)
 
 
 # ------------------------------------------------------------------- virtual
@@ -187,7 +193,7 @@ def test_virtual_direction_tracks_dominant_kl_hessian_eigenvector():
 
         def kl_at(r_flat):
             c = model.forward_batch(net, x[None], {0: r_flat.reshape(1, w, n)})
-            return perturb.kl_divergence(p_ref, c.probs[0])
+            return kl_divergence(p_ref, c.probs[0])
 
         H = central_diff_hessian(kl_at, np.zeros(w * n), step=1e-4)
         u = dominant_eigenvector(H)
@@ -228,7 +234,7 @@ def test_supervised_input_selection_matches_classic_input_at():
     assert list(tensors) == [0]
     cache = model.forward_batch(net, x[None])
     _, act = model.backward_batch(net, cache, model.loglik_dlogits(cache.probs, [label]))
-    expected = perturb.supervised_perturbation(act[0][0], 2.0)
+    expected = supervised_perturbation(act[0][0], 2.0)
     np.testing.assert_allclose(tensors[0][0], expected, atol=1e-12)
 
 
@@ -306,8 +312,8 @@ def test_adversarial_direction_beats_random_on_average():
                     gain_adv = -np.log(adv.probs[0][label]) - base_nll
                     gain_rnd = -np.log(rnd.probs[0][label]) - base_nll
                 else:
-                    gain_adv = perturb.kl_divergence(p_ref, adv.probs[0])
-                    gain_rnd = perturb.kl_divergence(p_ref, rnd.probs[0])
+                    gain_adv = kl_divergence(p_ref, adv.probs[0])
+                    gain_rnd = kl_divergence(p_ref, rnd.probs[0])
                 gains.setdefault((kind, m), []).append((gain_adv, gain_rnd))
     for key, pairs in gains.items():
         mean_adv = np.mean([a for a, _ in pairs])

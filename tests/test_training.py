@@ -8,7 +8,7 @@ import pytest
 from lpat import evaluate as ev
 from lpat import model, perturb, training
 
-from oracles import fd_grad_wrt, rel_error
+from oracles import fd_grad_wrt, kl_divergence, rel_error
 
 
 class FakeSample:
@@ -105,13 +105,6 @@ def test_lap_loss_nonnegative_for_real_perturbations():
     base = model.forward_batch(net, batch)
     pert = model.forward_batch(net, batch, tensors)
     assert training.lap_loss_from_probs(base.probs, pert.probs) >= 0.0
-
-
-def test_total_loss_is_exactly_the_weighted_sum():
-    assert training.total_loss(0.5, 0.2, 0.0) == 0.5
-    assert training.total_loss(0.5, 0.2, 1.0) == pytest.approx(0.7, abs=1e-15)
-    base = training.total_loss(0.5, 0.2, 1.0) - 0.5
-    assert training.total_loss(0.5, 0.2, 2.0) - 0.5 == pytest.approx(2 * base, rel=1e-12)
 
 
 # ------------------------------------------------------------------- rmsprop
@@ -231,10 +224,18 @@ def test_select_unlabeled_takes_the_floor_fraction_deterministically():
     assert len(training.select_unlabeled(pool, 1.0, seed=4)) == 100
 
 
-def _capture_first_step(monkeypatch, data, cfg, pcfg):
-    """Train for one step, recording what that step saw and produced: the
-    network before the update, the batch, its labels and perturbations, and
-    the gradients handed to RMSProp."""
+STEP_LAM = 2.0
+
+
+def _capture_first_step(monkeypatch, mode, n_unlabeled):
+    """Train a one-step epoch at lambda ``STEP_LAM``, recording what that step
+    saw and produced: the network before the update, the batch, its labels
+    and perturbations, the gradients handed to RMSProp, and the report."""
+    data = toy_dataset(seed=9, per_class=4, n_valid=0, n_unlabeled=n_unlabeled)
+    cfg = small_cfg(epochs=1, hidden1=3, hidden2=3, lstm_units=4,
+                    unlabeled_frac=1.0 if n_unlabeled else 0.0)
+    pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=1.0,
+                                      xi=1e-3, lam=STEP_LAM)
     seen = {}
     real_perturb = perturb.compute_perturbation_tensors
     real_step = training.rmsprop_step
@@ -251,8 +252,11 @@ def _capture_first_step(monkeypatch, data, cfg, pcfg):
 
     monkeypatch.setattr(perturb, "compute_perturbation_tensors", spy_perturb)
     monkeypatch.setattr(training, "rmsprop_step", spy_step)
-    training.train(data, cfg, pcfg)
-    return seen["step"], seen["grads"]
+    _, report = training.train(data, cfg, pcfg)
+    n_lab = sum(lbl is not None for lbl in seen["step"][2])
+    assert n_lab == 12 and (len(seen["step"][2]) > n_lab) == bool(n_unlabeled)
+    assert len(report.epochs) == 1
+    return seen["step"], seen["grads"], report
 
 
 @pytest.mark.parametrize("mode,n_unlabeled", [("supervised_at", 0),
@@ -261,16 +265,9 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
                                                                n_unlabeled):
     """The update direction is the exact gradient of the documented objective
     nll + lambda * lap, perturbations and reference distribution held fixed."""
-    data = toy_dataset(seed=9, per_class=4, n_valid=0, n_unlabeled=n_unlabeled)
-    cfg = small_cfg(epochs=1, hidden1=3, hidden2=3, lstm_units=4,
-                    unlabeled_frac=1.0 if n_unlabeled else 0.0)
-    lam = 2.0
-    pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=1.0,
-                                      xi=1e-3, lam=lam)
-    (net, X, labels, tensors), grads = _capture_first_step(monkeypatch, data,
-                                                           cfg, pcfg)
+    (net, X, labels, tensors), grads, _ = _capture_first_step(monkeypatch, mode,
+                                                              n_unlabeled)
     n_lab = sum(lbl is not None for lbl in labels)
-    assert n_lab == 12 and (len(labels) > n_lab) == bool(n_unlabeled)
     assert sorted(tensors) == list(model.ALL_POINTS)
     y = np.array(labels[:n_lab])
     p_ref = model.forward_batch(net, X).probs
@@ -281,7 +278,7 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
 
     def objective():
         q = model.forward_batch(net, X, tensors).probs
-        return nll() + lam * np.mean(np.sum(p_ref * np.log(p_ref / q), axis=1))
+        return nll() + STEP_LAM * np.mean(np.sum(p_ref * np.log(p_ref / q), axis=1))
 
     for name, arr in net.params().items():
         fd = fd_grad_wrt(arr, objective, step=1e-5)
@@ -291,6 +288,23 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
     gap = max(rel_error(grads[name], fd_grad_wrt(arr, nll, step=1e-5))
               for name, arr in net.params().items())
     assert gap > 1e-3, f"{mode}: lap term moves the gradient by only {gap:.2e}"
+
+
+@pytest.mark.parametrize("mode,n_unlabeled", [("supervised_at", 0),
+                                              ("virtual_at", 6)])
+def test_one_step_epoch_reports_nll_plus_lambda_lap(monkeypatch, mode, n_unlabeled):
+    """The train loss an epoch of one step reports is nll + lambda * lap,
+    both computed here from forward passes over the step's batch."""
+    (net, X, labels, tensors), _, report = _capture_first_step(monkeypatch, mode,
+                                                               n_unlabeled)
+    n_lab = sum(lbl is not None for lbl in labels)
+    y = np.array(labels[:n_lab])
+    p_ref = model.forward_batch(net, X).probs
+    q = model.forward_batch(net, X, tensors).probs
+    nll = -np.mean(np.log(p_ref[np.arange(n_lab), y]))
+    lap = np.mean([kl_divergence(p_ref[i], q[i]) for i in range(len(X))])
+    assert lap > 0.0
+    assert report.epochs[0].train_loss == pytest.approx(nll + STEP_LAM * lap, rel=1e-12)
 
 
 def test_adversarial_modes_actually_train():
@@ -359,7 +373,6 @@ def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
     buffers is still alive. CPython frees an array when its last reference
     goes, so the count is deterministic."""
     real_lstm = model._lstm_forward
-    real_last_hidden = model._lstm_last_hidden
     passes = []
     alive_at_start = []
     inference_passes = []
@@ -368,20 +381,17 @@ def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
         alive_at_start.append(sum(any(ref() is not None for ref in refs)
                                   for refs in passes))
 
-    def spy_lstm(p, x):
+    def spy_lstm(p, x, history=True):
         count_alive()
-        out = real_lstm(p, x)
-        # the returned arrays are views; their bases own the buffers
-        passes.append([weakref.ref(a.base) for a in out])
+        out = real_lstm(p, x, history)
+        if history:
+            # the returned arrays are views; their bases own the buffers
+            passes.append([weakref.ref(a.base) for a in out])
+        else:
+            inference_passes.append(len(x))
         return out
 
-    def spy_last_hidden(p, x):
-        count_alive()
-        inference_passes.append(len(x))
-        return real_last_hidden(p, x)
-
     monkeypatch.setattr(model, "_lstm_forward", spy_lstm)
-    monkeypatch.setattr(model, "_lstm_last_hidden", spy_last_hidden)
     updates = _spy_updates(monkeypatch)
     data = toy_dataset(seed=3, per_class=10, n_unlabeled=n_unlabeled)
     pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=0.5,
@@ -423,7 +433,7 @@ def test_predict_breaks_exact_ties_toward_the_lowest_class():
 def test_predict_equals_plain_forward():
     net = model.init_network(2, 4, 4, 5, 3, seed=9)
     x = np.random.default_rng(9).uniform(size=(3, 2))
-    label, probs = training.predict(net, FakeSample(x, 2))
+    label, probs = training.predict(net, x)
     assert np.array_equal(probs, model.forward_batch(net, x[None]).probs[0])
     assert label == int(np.argmax(probs))
 
