@@ -51,7 +51,7 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
     lines = [MAGIC, "arch " + " ".join(f"{k} {dims[k]}" for k in ARCH_KEYS)]
     for key, value in (meta or {}).items():
         value = str(value)
-        if "\n" in value or " " in key:
+        if key.split() != [key] or value.splitlines() not in ([value], []):
             raise ValueError(f"meta entry {key!r} must be single-line with a bare key")
         lines.append(f"meta {key} {value}")
     for name, arr in net.params().items():

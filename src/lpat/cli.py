@@ -43,6 +43,7 @@ class Flag:
     default: object
     help: str
     choices: tuple = ()
+    required: bool = False
 
     @property
     def dest(self) -> str:
@@ -53,8 +54,8 @@ class Flag:
 
 SCHEMAS: dict[str, list[Flag]] = {
     "prep": [
-        Flag("input", str, None, "input CSV in the Backblaze daily schema"),
-        Flag("out", str, None, "dataset cache file to write"),
+        Flag("input", str, None, "input CSV in the Backblaze daily schema", required=True),
+        Flag("out", str, None, "dataset cache file to write", required=True),
         Flag("attrs", str, ",".join(data.DEFAULT_ATTRS), "comma-separated attribute columns"),
         Flag("clusters", int, 10, "k for the healthy-drive k-means subset"),
         Flag("keep-frac", float, 0.3, "fraction of each cluster kept (nearest the centroid)"),
@@ -67,10 +68,10 @@ SCHEMAS: dict[str, list[Flag]] = {
         Flag("attrs", int, 8, "number of SMART attributes"),
         Flag("days", int, 60, "history length per drive"),
         Flag("seed", int, 0, "generator seed"),
-        Flag("out", str, None, "CSV file to write"),
+        Flag("out", str, None, "CSV file to write", required=True),
     ],
     "train": [
-        Flag("data", str, None, "dataset cache from prep"),
+        Flag("data", str, None, "dataset cache from prep", required=True),
         Flag("mode", str, "lpat", "training mode", ("basic", "at", "vat", "lpat")),
         Flag("layers", str, None, "injection points", ("input", "bottom", "top", "all")),
         Flag("epsilon", float, 20.0,
@@ -85,79 +86,61 @@ SCHEMAS: dict[str, list[Flag]] = {
         Flag("batch", int, 128, "mini-batch size"),
         Flag("lr", float, 0.001, "RMSProp learning rate"),
         Flag("seed", int, 0, "run seed"),
-        Flag("out", str, None, "checkpoint file to write"),
+        Flag("out", str, None, "checkpoint file to write", required=True),
         Flag("report", str, None, "per-epoch report file to write"),
     ],
     "eval": [
-        Flag("data", str, None, "dataset cache from prep"),
-        Flag("checkpoint", str, None, "checkpoint to evaluate"),
+        Flag("data", str, None, "dataset cache from prep", required=True),
+        Flag("checkpoint", str, None, "checkpoint to evaluate", required=True),
         Flag("split", str, "test", "which split to score", ("valid", "test")),
         Flag("report", str, None, "metrics file to write"),
     ],
     "predict": [
-        Flag("checkpoint", str, None, "trained checkpoint"),
-        Flag("window", str, None, "CSV with exactly the trained window's rows"),
+        Flag("checkpoint", str, None, "trained checkpoint", required=True),
+        Flag("window", str, None, "CSV with exactly the trained window's rows", required=True),
     ],
 }
 
-REQUIRED = {
-    "prep": ("input", "out"),
-    "synth": ("out",),
-    "train": ("data", "out"),
-    "eval": ("data", "checkpoint"),
-    "predict": ("checkpoint", "window"),
-}
 
-
-@dataclass
-class RunConfig:
-    """Validated per-command settings merged from defaults, config file, and
-    explicit flags (flags win)."""
-
-    command: str
-    values: dict
-
-    def __getattr__(self, name):
+def load_config_file(command: str, path) -> dict:
+    """Read key=value lines; '#' starts a comment; keys use flag spelling."""
+    known = {f.name: f for f in SCHEMAS[command]}
+    out = {}
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{line_no}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise CliError(f"{path}:{line_no}: unknown key {key!r} for {command}")
+        flag = known[key]
         try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
+            parsed = flag.type(value)
+        except ValueError:
+            raise CliError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+        if flag.choices and parsed not in flag.choices:
+            raise CliError(
+                f"{path}:{line_no}: {key} must be one of {flag.choices}")
+        out[flag.dest] = parsed
+    return out
 
-    @staticmethod
-    def load_file(command: str, path) -> dict:
-        """Read key=value lines; '#' starts a comment; keys use flag spelling."""
-        known = {f.name: f for f in SCHEMAS[command]}
-        out = {}
-        for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise CliError(f"{path}:{line_no}: unknown key {key!r} for {command}")
-            flag = known[key]
-            try:
-                parsed = flag.type(value)
-            except ValueError:
-                raise CliError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
-            if flag.choices and parsed not in flag.choices:
-                raise CliError(
-                    f"{path}:{line_no}: {key} must be one of {flag.choices}")
-            out[flag.dest] = parsed
-        return out
 
-    @classmethod
-    def merge(cls, command: str, cli_values: dict, config_path) -> "RunConfig":
-        values = {f.dest: f.default for f in SCHEMAS[command]}
-        if config_path:
-            values.update(cls.load_file(command, config_path))
-        values.update({k: v for k, v in cli_values.items() if v is not None})
-        for name in REQUIRED[command]:
-            if values[name.replace("-", "_")] is None:
-                raise CliError(f"{command}: --{name} is required")
-        return cls(command=command, values=values)
+def _settings(command: str, args: argparse.Namespace) -> argparse.Namespace:
+    """Per-command settings: defaults, then the config file, then explicit
+    flags (flags win); every required flag must end up set."""
+    flags = SCHEMAS[command]
+    values = {f.dest: f.default for f in flags}
+    if args.config:
+        values.update(load_config_file(command, args.config))
+    for f in flags:
+        explicit = getattr(args, f.dest)
+        if explicit is not None:
+            values[f.dest] = explicit
+        if f.required and values[f.dest] is None:
+            raise CliError(f"{command}: --{f.name} is required")
+    return argparse.Namespace(**values)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -185,7 +168,7 @@ def _attr_names(n: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def cmd_synth(cfg: RunConfig) -> None:
+def cmd_synth(cfg: argparse.Namespace) -> None:
     sc = synthetic.SynthConfig(healthy=cfg.healthy, failed=cfg.failed,
                                n_attrs=cfg.attrs, days=cfg.days, seed=cfg.seed)
     timelines = synthetic.generate_synthetic(sc)
@@ -194,7 +177,7 @@ def cmd_synth(cfg: RunConfig) -> None:
           f"{cfg.failed} failing) to {cfg.out}")
 
 
-def cmd_prep(cfg: RunConfig) -> None:
+def cmd_prep(cfg: argparse.Namespace) -> None:
     attrs = tuple(a for a in cfg.attrs.split(",") if a)
     timelines = data.ingest_csv(cfg.input, attrs)
     split, stats = data.prepare_dataset(
@@ -209,7 +192,7 @@ def cmd_prep(cfg: RunConfig) -> None:
     print(f"cache written to {cfg.out}")
 
 
-def _train_configs(cfg: RunConfig, has_unlabeled: bool
+def _train_configs(cfg: argparse.Namespace, has_unlabeled: bool
                    ) -> tuple[TrainConfig, PerturbationConfig]:
     layers = cfg.layers or DEFAULT_LAYERS[cfg.mode]
     mode = MODE_MAP[cfg.mode]
@@ -236,7 +219,7 @@ def _pipeline_meta(split) -> dict[str, str]:
     }
 
 
-def cmd_train(cfg: RunConfig) -> None:
+def cmd_train(cfg: argparse.Namespace) -> None:
     split = cache.load_split(cfg.data)
     tcfg, pcfg = _train_configs(cfg, bool(split.train_unlabeled))
     net, report = training.train(split, tcfg, pcfg)
@@ -265,7 +248,7 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"checkpoint written to {cfg.out}")
 
 
-def cmd_eval(cfg: RunConfig) -> None:
+def cmd_eval(cfg: argparse.Namespace) -> None:
     split = cache.load_split(cfg.data)
     net, meta = checkpoint_load(cfg.checkpoint,
                                 expect={"n_attrs": len(split.attrs)})
@@ -292,7 +275,7 @@ def _format_probs(probs) -> str:
     return "[" + ", ".join(f"{v:.{PROB_DECIMALS}f}" for v in r) + "]"
 
 
-def cmd_predict(cfg: RunConfig) -> None:
+def cmd_predict(cfg: argparse.Namespace) -> None:
     net, meta = checkpoint_load(cfg.checkpoint)
     for key in ("window", "attrs", "vmin", "vmax"):
         if key not in meta:
@@ -351,10 +334,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     command = args.command
-    cli_values = {f.dest: getattr(args, f.dest) for f in SCHEMAS[command]}
     try:
-        cfg = RunConfig.merge(command, cli_values, args.config)
-        HANDLERS[command](cfg)
+        HANDLERS[command](_settings(command, args))
     except (CliError, CheckpointError, cache.CacheFormatError, data.SchemaError,
             data.RowError, ValueError, OSError) as exc:
         print(f"lpat {command}: {exc}", file=sys.stderr)

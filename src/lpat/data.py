@@ -149,6 +149,8 @@ def _parse_row(row, col, attr_idx, attr_list, line_no) -> SmartRecord:
     serial = cell("serial_number")
     if not serial:
         raise RowError(line_no, "empty serial_number")
+    if serial.split() != [serial]:
+        raise RowError(line_no, f"serial_number {serial!r} contains whitespace")
     failure_raw = cell("failure")
     if failure_raw not in ("0", "1"):
         raise RowError(line_no, f"failure flag must be 0 or 1, got {failure_raw!r}")
@@ -351,6 +353,14 @@ def residual_label(residual_days: int) -> Optional[int]:
     return None
 
 
+def _window_starts(tl: DriveTimeline, window: int) -> list[int]:
+    """First-record indices of ``tl``'s windows of ``window`` calendar-consecutive
+    days."""
+    span = timedelta(days=window - 1)
+    return [i for i in range(len(tl.records) - window + 1)
+            if tl.records[i + window - 1].date - tl.records[i].date == span]
+
+
 def window_and_label(timelines, window: int, scaling: ScalingParams
                      ) -> tuple[list[Sample], list[Sample]]:
     """Stride-1 sliding windows over calendar-consecutive days.
@@ -361,13 +371,10 @@ def window_and_label(timelines, window: int, scaling: ScalingParams
     """
     labeled: list[Sample] = []
     unlabeled: list[Sample] = []
-    span = timedelta(days=window - 1)
     for tl in timelines:
         scaled = scale_timeline(tl, scaling)
-        for i in range(len(tl.records) - window + 1):
+        for i in _window_starts(tl, window):
             end_rec = tl.records[i + window - 1]
-            if end_rec.date - tl.records[i].date != span:
-                continue  # gap inside the window
             feats = scaled[i:i + window]
             if tl.fail_date is None:
                 label: Optional[int] = 2
@@ -406,21 +413,6 @@ def split_serials(healthy_serials, failing_serials, train_frac: float,
     return train, valid, test
 
 
-def _strata_from_window_geometry(timelines, window: int) -> tuple[set[str], set[str]]:
-    """Strata that window_and_label will produce, computed without scaling:
-    a drive enters its stratum iff at least one gap-free window exists."""
-    span = timedelta(days=window - 1)
-    healthy: set[str] = set()
-    failing: set[str] = set()
-    for tl in timelines:
-        has_window = any(
-            tl.records[i + window - 1].date - tl.records[i].date == span
-            for i in range(len(tl.records) - window + 1))
-        if has_window:
-            (healthy if tl.fail_date is None else failing).add(tl.serial)
-    return healthy, failing
-
-
 def split_dataset(samples, serials: tuple[set[str], set[str], set[str]],
                   scaling: ScalingParams, attrs=DEFAULT_ATTRS, window: int = 20
                   ) -> DatasetSplit:
@@ -455,7 +447,6 @@ def split_dataset(samples, serials: tuple[set[str], set[str], set[str]],
 class PrepStats:
     healthy_before: int = 0
     failed_before: int = 0
-    healthy_after_clean: int = 0
     failed_after_clean: int = 0
     healthy_kept: int = 0
     clean: CleanStats = field(default_factory=CleanStats)
@@ -480,6 +471,8 @@ def prepare_dataset(timelines, attrs=DEFAULT_ATTRS, clusters: int = 10,
     -> window/label -> drive-level split."""
     if clusters < 1:
         raise ValueError("clusters must be at least 1")
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     stats = PrepStats(
         healthy_before=sum(1 for t in timelines if t.healthy),
         failed_before=sum(1 for t in timelines if not t.healthy),
@@ -487,7 +480,6 @@ def prepare_dataset(timelines, attrs=DEFAULT_ATTRS, clusters: int = 10,
     cleaned, stats.clean = clean_and_aggregate(timelines, window)
     healthy = [t for t in cleaned if t.healthy]
     failed = [t for t in cleaned if not t.healthy]
-    stats.healthy_after_clean = len(healthy)
     stats.failed_after_clean = len(failed)
 
     if healthy:
@@ -495,8 +487,10 @@ def prepare_dataset(timelines, attrs=DEFAULT_ATTRS, clusters: int = 10,
     stats.healthy_kept = len(healthy)
     selected = healthy + failed
 
-    healthy_s, failing_s = _strata_from_window_geometry(selected, window)
-    serials = split_serials(healthy_s, failing_s, train_frac, valid_frac, seed)
+    windowed = [t for t in selected if _window_starts(t, window)]
+    serials = split_serials({t.serial for t in windowed if t.healthy},
+                            {t.serial for t in windowed if not t.healthy},
+                            train_frac, valid_frac, seed)
     train_tls = [t for t in selected if t.serial in serials[0]]
     if not train_tls:
         raise ValueError("too few drives to populate the train and test splits")

@@ -445,11 +445,6 @@ def nll_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def loglik_dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of +log p(label) w.r.t. logits: one-hot minus softmax."""
-    return -nll_dlogits(probs, labels)
-
-
 def kl_dlogits(p_ref: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Gradient of KL(p_ref || softmax(z)) w.r.t. z, with p_ref constant."""
     return np.atleast_2d(probs) - np.atleast_2d(p_ref)

@@ -163,7 +163,7 @@ def supervised_perturbation_tensors(net: model.Network, X: np.ndarray,
     if base is None:
         base = model.forward_batch(net, X)
     points = config.points
-    dlogits = model.loglik_dlogits(base.probs, labels)
+    dlogits = -model.nll_dlogits(base.probs, labels)  # gradient of +log p(label)
     _, act = model.backward_batch(net, base, dlogits,
                                   want_param_grads=False, down_to=min(points))
     return {m: scale_rows(act[m], -config.eps_for(m)) for m in points}

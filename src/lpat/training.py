@@ -32,7 +32,6 @@ import numpy as np
 from . import evaluate as eval_mod
 from . import model, perturb
 
-PROB_FLOOR = 1e-12
 RMSPROP_RHO = 0.9     # decay of the squared-gradient average
 RMSPROP_DELTA = 1e-8  # added to its square root
 
@@ -80,24 +79,20 @@ class NonFiniteLossError(ValueError):
         self.term = term
 
 
-@dataclass
-class OptimizerState:
-    acc: dict[str, np.ndarray]
-
-
-def init_optimizer(params: dict[str, np.ndarray]) -> OptimizerState:
-    return OptimizerState(acc={k: np.zeros_like(v) for k, v in params.items()})
+def init_optimizer(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """One zeroed squared-gradient accumulator per parameter."""
+    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                 state: OptimizerState, lr: float) -> None:
+                 acc: dict[str, np.ndarray], lr: float) -> None:
     """acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+delta).
 
-    Updates params and state in place; every parameter needs a gradient entry.
+    Updates params and acc in place; every parameter needs a gradient entry.
     """
     for name, p in params.items():
         g = grads[name]
-        a = state.acc[name]
+        a = acc[name]
         a *= RMSPROP_RHO
         a += (1.0 - RMSPROP_RHO) * g * g
         p -= lr * g / (np.sqrt(a) + RMSPROP_DELTA)
@@ -127,7 +122,7 @@ def nll_loss(probabilities, labels) -> float:
         raise ValueError("nll_loss is defined on labeled samples only")
     idx = np.asarray(labels, dtype=int)
     picked = probs[np.arange(probs.shape[0]), idx]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+    return float(-np.mean(np.log(np.maximum(picked, perturb.PROB_FLOOR))))
 
 
 def lap_loss_from_probs(p_ref: np.ndarray, p_pert: np.ndarray) -> float:
@@ -251,7 +246,7 @@ def train(dataset, train_config: TrainConfig,
     net = model.init_network(n, cfg.hidden1, cfg.hidden2, cfg.lstm_units,
                              classes=eval_mod.N_CLASSES, seed=cfg.seed)
     params = net.params()
-    opt = init_optimizer(params)
+    acc = init_optimizer(params)
     rng_data = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
 
     n_l_rows, n_u_rows = _batch_layout(len(labeled), len(unlabeled), cfg.batch_size)
@@ -270,7 +265,7 @@ def train(dataset, train_config: TrainConfig,
                 ui = rng_data.integers(0, len(unlabeled), size=n_u_rows)
                 Xb = np.concatenate([Xb, X_u[ui]], axis=0)
             grads, loss = _batch_gradients(net, Xb, yb, pcfg, cfg.seed, epoch, b)
-            rmsprop_step(params, grads, opt, cfg.learning_rate)
+            rmsprop_step(params, grads, acc, cfg.learning_rate)
             batch_losses.append(loss)
 
         valid_loss = float("nan")

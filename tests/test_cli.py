@@ -132,6 +132,53 @@ def test_prep_window_larger_than_history_fails_cleanly(tmp_path, capsys):
     assert err and not cache_path.exists()
 
 
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_prep_window_below_one_fails_cleanly(tmp_path, capsys, window):
+    cache_path = tmp_path / "fx.cache"
+    code, out, err = run(capsys, "prep", "--input", str(FIXTURE),
+                         "--out", str(cache_path),
+                         "--attrs", "smart_5_raw,smart_187_raw",
+                         "--clusters", "1", "--window", window)
+    assert code == 1 and not out
+    assert f"lpat prep: window must be at least 1, got {window}" in err
+    assert not cache_path.exists()
+
+
+@pytest.mark.parametrize("serial", ["SH 00001", "SH\t00001", "SH00001\x0b", " SH00001"])
+def test_prep_refuses_a_serial_with_whitespace(tmp_path, capsys, serial):
+    csv_path = tmp_path / "fleet.csv"
+    cache_path = tmp_path / "fleet.cache"
+    run(capsys, "synth", "--healthy", "4", "--failed", "2", "--attrs", "2",
+        "--days", "40", "--seed", "1", "--out", str(csv_path))
+    text = csv_path.read_text()
+    first = next(n for n, line in enumerate(text.splitlines(), start=1)
+                 if ",SH00001," in line)
+    csv_path.write_text(text.replace(",SH00001,", f",{serial},"))
+    code, _, err = run(capsys, "prep", "--input", str(csv_path),
+                       "--out", str(cache_path), "--attrs", "smart_5_raw,smart_9_raw",
+                       "--clusters", "1", "--window", "10")
+    assert code == 1
+    assert f"line {first}: serial_number {serial!r} contains whitespace" in err
+    assert not cache_path.exists()
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["prep", "--out", "x.cache"], "input"),
+    (["prep", "--input", "x.csv"], "out"),
+    (["synth"], "out"),
+    (["train", "--out", "x.ckpt"], "data"),
+    (["train", "--data", "x.cache"], "out"),
+    (["eval", "--checkpoint", "x.ckpt"], "data"),
+    (["eval", "--data", "x.cache"], "checkpoint"),
+    (["predict", "--window", "w.csv"], "checkpoint"),
+    (["predict", "--checkpoint", "x.ckpt"], "window"),
+])
+def test_a_missing_required_flag_is_named(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert f"lpat {argv[0]}: {argv[0]}: --{missing} is required" in err
+
+
 def test_prep_missing_column_exits_nonzero(tmp_path, capsys):
     code, _, err = run(capsys, "prep", "--input", str(FIXTURE),
                        "--out", str(tmp_path / "x.cache"),
@@ -391,11 +438,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 1 and "bogus-key" in err
 
 
-def test_runconfig_load_file_parses_flag_spelled_keys(tmp_path):
+def test_load_config_file_parses_flag_spelled_keys(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text("# lpat train config\ndata=d.cache\nout=m.ckpt\n"
                     "lambda=2.5\nepochs=3  # trailing comment\n")
-    loaded = cli.RunConfig.load_file("train", path)
+    loaded = cli.load_config_file("train", path)
     assert loaded["lam"] == 2.5
     assert loaded["epochs"] == 3
     assert loaded["data"] == "d.cache"

@@ -567,6 +567,15 @@ def test_prepare_dataset_is_deterministic():
                    for sa, sb in zip(xs, ys))
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_prepare_dataset_rejects_a_window_below_one(window):
+    cfg = synthetic.SynthConfig(healthy=4, failed=2, n_attrs=2, days=30, seed=1)
+    tls = synthetic.generate_synthetic(cfg)
+    with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+        data.prepare_dataset(tls, attrs=data.DEFAULT_ATTRS[:2], clusters=1,
+                             keep_frac=1.0, window=window, seed=0)
+
+
 def test_prepare_dataset_window_longer_than_history_errors():
     cfg = synthetic.SynthConfig(healthy=4, failed=2, n_attrs=2, days=30, seed=1)
     tls = synthetic.generate_synthetic(cfg)

@@ -1,7 +1,7 @@
-"""No module of the package or of this test suite imports a name it never uses.
+"""No module of the package, of this test suite or of the benchmark imports a
+name it never uses.
 
-A stdlib ``ast`` scan, so the check needs no linter. ``lpat/__init__.py`` is
-left out: its imports are the package's re-exports.
+A stdlib ``ast`` scan, so the check needs no linter.
 """
 
 import ast
@@ -11,8 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _checked_files():
-    src = sorted(p for p in (ROOT / "src" / "lpat").glob("*.py") if p.name != "__init__.py")
-    return src + sorted((ROOT / "tests").glob("*.py"))
+    return [path for folder in ("src/lpat", "tests", "perfbench")
+            for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -312,6 +312,25 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert arr.tobytes() == other.tobytes(), name
 
 
+@pytest.mark.parametrize("key,value", [
+    ("k", "a\nb"), ("k", "a\rb"), ("k", "a\r\nb"), ("k", "a\x0bb"), ("k", "a\x0cb"),
+    ("k", "a\x1cb"), ("k", "a\u2028b"), ("k", "ab\r"),
+    ("", "v"), ("a b", "v"), ("a\tb", "v"), ("a\x1cb", "v"),
+])
+def test_checkpoint_save_refuses_meta_it_could_not_load(tmp_path, key, value):
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(ValueError, match="meta entry"):
+        ckpt.checkpoint_save(tiny_net(12), path, meta={key: value})
+    assert not path.exists()
+
+
+def test_checkpoint_meta_values_round_trip_verbatim(tmp_path):
+    meta = {"empty": "", "spaced": " a  b ", "tab": "a\tb"}
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path, meta=meta)
+    assert ckpt.checkpoint_load(path)[1] == meta
+
+
 def test_checkpoint_wrong_magic_raises_format_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("NOT-A-CKPT v9\n")

@@ -233,7 +233,7 @@ def test_supervised_input_selection_matches_classic_input_at():
     tensors = perturb.compute_perturbation_tensors(net, x[None, ...], [label], cfg)
     assert list(tensors) == [0]
     cache = model.forward_batch(net, x[None])
-    _, act = model.backward_batch(net, cache, model.loglik_dlogits(cache.probs, [label]))
+    _, act = model.backward_batch(net, cache, -model.nll_dlogits(cache.probs, [label]))
     expected = supervised_perturbation(act[0][0], 2.0)
     np.testing.assert_allclose(tensors[0][0], expected, atol=1e-12)
 

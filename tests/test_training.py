@@ -120,7 +120,7 @@ def test_rmsprop_hand_computed_first_step():
     params = {"w": np.array([1.0])}
     state = training.init_optimizer(params)
     training.rmsprop_step(params, {"w": np.array([1.0])}, state, lr=0.001)
-    assert state.acc["w"][0] == pytest.approx(0.1, abs=1e-15)
+    assert state["w"][0] == pytest.approx(0.1, abs=1e-15)
     delta = params["w"][0] - 1.0
     assert delta == pytest.approx(-0.001 / (np.sqrt(0.1) + 1e-8), rel=1e-12)
     assert delta == pytest.approx(-0.0031623, abs=1e-7)
