@@ -50,11 +50,15 @@ def save_split(split: DatasetSplit, path) -> None:
             lines.append(f"sample {s.serial} {s.window_end.isoformat()} {label}")
             lines.extend(encode_row(row) for row in np.asarray(s.features, dtype=float))
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # encode before opening: a value that cannot be written leaves the old file
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_split(path) -> DatasetSplit:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"{path}: not a text cache ({exc})") from None
     if lines and lines[0] == MAGIC_V1:
         raise CacheFormatError(
             f"{path}: {MAGIC_V1} caches are no longer read; rebuild this one "

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hexrows import HexRowError, decode_rows, encode_row
-from .model import DenseParams, LstmParams, Network
+from .model import Network, param_shapes
 
 MAGIC = "LPAT-CKPT v2"
 MAGIC_V1 = "LPAT-CKPT v1"
@@ -62,7 +62,8 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
             lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
             lines.extend(encode_row(row) for row in arr)
     lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # encode before opening: a value that cannot be written leaves the old file
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _decode_block(rows: list[str], cols: int, v1: bool, where: str) -> np.ndarray:
@@ -87,16 +88,6 @@ def _decode_block(rows: list[str], cols: int, v1: bool, where: str) -> np.ndarra
         except ValueError:
             raise CheckpointFormatError(f"{where} row {r} holds a non-hex-float value") from None
     return block
-
-
-def _tensor_shapes(dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
-    n, h1, h2, q, c = (dims[k] for k in ARCH_KEYS)
-    return {
-        "dense1.W": (h1, n), "dense1.b": (h1,),
-        "dense2.W": (h2, h1), "dense2.b": (h2,),
-        "lstm.W": (4 * q, h2), "lstm.U": (4 * q, q), "lstm.b": (4 * q,),
-        "dense3.W": (c, q), "dense3.b": (c,),
-    }
 
 
 def checkpoint_load(path, expect: Optional[dict[str, int]] = None
@@ -135,7 +126,7 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
                 raise CheckpointArchitectureError(
                     f"{path}: checkpoint has {k}={dims.get(k)}, expected {v}")
 
-    shapes = _tensor_shapes(dims)
+    shapes = param_shapes(dims)
     tensors: dict[str, np.ndarray] = {}
     meta: dict[str, str] = {}
     i = 2
@@ -180,11 +171,4 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     missing = set(shapes) - set(tensors)
     if missing:
         raise CheckpointTruncatedError(f"{path}: missing tensors {sorted(missing)}")
-
-    net = Network(
-        dense1=DenseParams(tensors["dense1.W"], tensors["dense1.b"]),
-        dense2=DenseParams(tensors["dense2.W"], tensors["dense2.b"]),
-        lstm=LstmParams(tensors["lstm.W"], tensors["lstm.U"], tensors["lstm.b"]),
-        dense3=DenseParams(tensors["dense3.W"], tensors["dense3.b"]),
-    )
-    return net, meta
+    return Network.from_params(tensors), meta

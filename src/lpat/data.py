@@ -34,7 +34,7 @@ KMEANS_MAX_ITER = 100
 
 
 class SchemaError(ValueError):
-    """CSV header lacks a required column."""
+    """CSV header lacks a required column, or no attribute column is requested."""
 
 
 class RowError(ValueError):
@@ -107,6 +107,8 @@ def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS) -> list[DriveTime
     with their line number.
     """
     attr_list = tuple(attr_list)
+    if not attr_list:
+        raise SchemaError(f"{path}: no attribute column requested")
     rows_by_serial: dict[str, list[SmartRecord]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,6 +153,8 @@ def _parse_row(row, col, attr_idx, attr_list, line_no) -> SmartRecord:
         raise RowError(line_no, "empty serial_number")
     if serial.split() != [serial]:
         raise RowError(line_no, f"serial_number {serial!r} contains whitespace")
+    if not serial.isascii():
+        raise RowError(line_no, f"serial_number {serial!r} is not ASCII")
     failure_raw = cell("failure")
     if failure_raw not in ("0", "1"):
         raise RowError(line_no, f"failure flag must be 0 or 1, got {failure_raw!r}")

@@ -99,13 +99,31 @@ class Network:
             "dense3.W": self.dense3.W, "dense3.b": self.dense3.b,
         }
 
-    def copy(self) -> "Network":
-        return Network(
-            dense1=DenseParams(self.dense1.W.copy(), self.dense1.b.copy()),
-            dense2=DenseParams(self.dense2.W.copy(), self.dense2.b.copy()),
-            lstm=LstmParams(self.lstm.W.copy(), self.lstm.U.copy(), self.lstm.b.copy()),
-            dense3=DenseParams(self.dense3.W.copy(), self.dense3.b.copy()),
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray]) -> "Network":
+        """The network holding these arrays, keyed as ``params()`` keys them."""
+        return cls(
+            dense1=DenseParams(params["dense1.W"], params["dense1.b"]),
+            dense2=DenseParams(params["dense2.W"], params["dense2.b"]),
+            lstm=LstmParams(params["lstm.W"], params["lstm.U"], params["lstm.b"]),
+            dense3=DenseParams(params["dense3.W"], params["dense3.b"]),
         )
+
+    def copy(self) -> "Network":
+        return Network.from_params({k: a.copy() for k, a in self.params().items()})
+
+
+def param_shapes(dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter array of a network with the layer widths
+    ``dims`` (keyed as ``Network.dims``), keyed as ``Network.params``."""
+    n, h1, h2 = dims["n_attrs"], dims["hidden1"], dims["hidden2"]
+    q, c = dims["lstm_units"], dims["classes"]
+    return {
+        "dense1.W": (h1, n), "dense1.b": (h1,),
+        "dense2.W": (h2, h1), "dense2.b": (h2,),
+        "lstm.W": (4 * q, h2), "lstm.U": (4 * q, q), "lstm.b": (4 * q,),
+        "dense3.W": (c, q), "dense3.b": (c,),
+    }
 
 
 def init_network(n_attrs: int, hidden1: int = 128, hidden2: int = 128,
@@ -253,14 +271,16 @@ def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
                   perts: dict) -> Activations:
     """Run the layers above injection point ``start``.
 
-    ``xhat`` holds the activations up to ``start`` as they feed the next
-    layer; each later point m gets ``perts[m]`` added. The result is a
+    ``xhat`` holds the activations below ``start`` as they fed the next
+    layer and the unperturbed one at ``start``; each point m from ``start``
+    up gets ``perts[m]`` added before it feeds the next layer. The result is a
     ``ForwardCache`` when the LSTM ran (``start`` below 3), else the
     ``Activations`` alone.
     """
     def inject(m, a):
         xhat[m] = a + perts[m] if m in perts else a
 
+    inject(start, xhat[start])
     if start < 1:
         inject(1, _dense(net.dense1, xhat[0]))
     if start < 2:
@@ -303,8 +323,7 @@ def forward_batch(net: Network, X: np.ndarray,
         0: (B, w, n), 1: (B, w, d["hidden1"]), 2: (B, w, d["hidden2"]),
         3: (B, d["lstm_units"]), 4: (B, d["classes"]),
     })
-    xhat = {0: X + perts[0] if 0 in perts else X}
-    return _forward_from(net, xhat, 0, perts)
+    return _forward_from(net, {0: X}, 0, perts)
 
 
 def resume_forward(net: Network, base: Activations, point: int,
@@ -318,9 +337,7 @@ def resume_forward(net: Network, base: Activations, point: int,
     LSTM (points 3 and 4) it is the ``Activations`` alone, enough for
     ``backward_batch`` down to that point.
     """
-    xhat = dict(base.xhat)
-    xhat[point] = base.xhat[point] + r
-    return _forward_from(net, xhat, point, {})
+    return _forward_from(net, dict(base.xhat), point, {point: r})
 
 
 def _infer(net: Network, X) -> np.ndarray:

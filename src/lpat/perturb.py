@@ -120,55 +120,6 @@ def _noise_rng(seed: int, epoch: int, batch_index: int, point: int):
         np.random.SeedSequence([int(seed), int(epoch), int(batch_index), int(point)]))
 
 
-def virtual_perturbation_tensors(net: model.Network, X: np.ndarray,
-                                 config: PerturbationConfig, *,
-                                 seed: int = 0, epoch: int = 0,
-                                 batch_index: int = 0,
-                                 base: Optional[model.Activations] = None
-                                 ) -> dict[int, np.ndarray]:
-    """Stacked virtual perturbations, one (batch, ...) tensor per selected point.
-
-    One power-iteration step per point: the KL gradient is evaluated at
-    r = xi * e only (its value and gradient at r = 0 both vanish). The probes
-    read only the activations and output of ``base``; each nudged pass is
-    freed before the next one runs, so the LSTM internals of at most one
-    probe are alive at a time.
-    """
-    if base is None:
-        base = model.forward_batch(net, X).activations()
-    p_ref = base.probs
-    out: dict[int, np.ndarray] = {}
-    for m in config.points:
-        rng = _noise_rng(seed, epoch, batch_index, m)
-        e = unit_rows(rng.standard_normal(base.xhat[m].shape))
-        nudged = model.resume_forward(net, base, m, config.xi * e)
-        dlogits = model.kl_dlogits(p_ref, nudged.probs)
-        _, act = model.backward_batch(net, nudged, dlogits,
-                                      want_param_grads=False, down_to=m)
-        out[m] = scale_rows(act[m], config.eps_for(m))
-        del nudged, act
-    return out
-
-
-def supervised_perturbation_tensors(net: model.Network, X: np.ndarray,
-                                    labels: Sequence[int],
-                                    config: PerturbationConfig, *,
-                                    base: Optional[model.ForwardCache] = None
-                                    ) -> dict[int, np.ndarray]:
-    """Stacked supervised perturbations from one backward pass of the
-    per-sample log-likelihood."""
-    labels = list(labels)
-    if any(lbl is None for lbl in labels):
-        raise ValueError("supervised adversarial mode requires a label for every sample")
-    if base is None:
-        base = model.forward_batch(net, X)
-    points = config.points
-    dlogits = -model.nll_dlogits(base.probs, labels)  # gradient of +log p(label)
-    _, act = model.backward_batch(net, base, dlogits,
-                                  want_param_grads=False, down_to=min(points))
-    return {m: scale_rows(act[m], -config.eps_for(m)) for m in points}
-
-
 def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
                                  labels: Optional[Sequence] = None,
                                  config: Optional[PerturbationConfig] = None, *,
@@ -176,21 +127,42 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
                                  batch_index: int = 0,
                                  base: Optional[model.Activations] = None
                                  ) -> dict[int, np.ndarray]:
-    """Mode dispatcher over the supervised and virtual constructions.
+    """Stacked perturbations, one (batch, ...) tensor per selected point.
 
-    All selected points are derived from the same unperturbed pass; the
-    caller applies them simultaneously in one perturbed forward. The
-    supervised construction backpropagates through that pass, so its
-    ``base`` must be a full ``ForwardCache``; the virtual one reads only
-    the ``Activations``.
+    All selected points are derived from one unperturbed pass ``base`` (run
+    here when not given); the caller applies them simultaneously in one
+    perturbed forward. The supervised construction needs a label for every
+    sample and backpropagates the log-likelihood through ``base`` once, so
+    its ``base`` must be a full ``ForwardCache``. The virtual one reads only
+    the ``Activations``: one power-iteration step per point, its KL gradient
+    evaluated at r = xi * e only (its value and gradient at r = 0 both
+    vanish). Each nudged pass is freed before the next one runs, so the LSTM
+    internals of at most one probe are alive at a time.
     """
     config = config or PerturbationConfig()
+    points = config.points
     if config.mode == "none":
         return {}
     if config.mode == "supervised_at":
-        if labels is None:
-            raise ValueError("supervised adversarial mode requires labels")
-        return supervised_perturbation_tensors(net, X, labels, config, base=base)
-    return virtual_perturbation_tensors(net, X, config, seed=seed, epoch=epoch,
-                                        batch_index=batch_index, base=base)
+        if labels is None or any(lbl is None for lbl in labels):
+            raise ValueError("supervised adversarial mode requires a label for every sample")
+        if base is None:
+            base = model.forward_batch(net, X)
+        dlogits = -model.nll_dlogits(base.probs, labels)  # gradient of +log p(label)
+        _, act = model.backward_batch(net, base, dlogits,
+                                      want_param_grads=False, down_to=min(points))
+        return {m: scale_rows(act[m], -config.eps_for(m)) for m in points}
 
+    if base is None:
+        base = model.forward_batch(net, X).activations()
+    out: dict[int, np.ndarray] = {}
+    for m in points:
+        rng = _noise_rng(seed, epoch, batch_index, m)
+        e = unit_rows(rng.standard_normal(base.xhat[m].shape))
+        nudged = model.resume_forward(net, base, m, config.xi * e)
+        dlogits = model.kl_dlogits(base.probs, nudged.probs)
+        _, act = model.backward_batch(net, nudged, dlogits,
+                                      want_param_grads=False, down_to=m)
+        out[m] = scale_rows(act[m], config.eps_for(m))
+        del nudged, act
+    return out

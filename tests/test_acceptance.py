@@ -151,7 +151,7 @@ def test_criterion_2_norm_contract():
     eps = 2.25
     cfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
                                      epsilon=eps, xi=1.0)
-    tensors = perturb.virtual_perturbation_tensors(net, X, cfg, seed=3)
+    tensors = perturb.compute_perturbation_tensors(net, X, None, cfg, seed=3)
     checked = 0
     for m, block in tensors.items():
         norms = np.linalg.norm(block.reshape(1000, -1), axis=1)
@@ -164,7 +164,7 @@ def test_criterion_2_norm_contract():
     dead = tiny_net(8)
     dead.dense3.W[...] = 0.0
     dead.dense3.b[...] = 0.0
-    tensors = perturb.virtual_perturbation_tensors(dead, X[:100], cfg, seed=4)
+    tensors = perturb.compute_perturbation_tensors(dead, X[:100], None, cfg, seed=4)
     for m in (0, 1, 2, 3):
         assert np.array_equal(tensors[m], np.zeros_like(tensors[m]))
 

@@ -162,6 +162,44 @@ def test_prep_refuses_a_serial_with_whitespace(tmp_path, capsys, serial):
     assert not cache_path.exists()
 
 
+def test_prep_refuses_a_serial_that_is_not_ascii(tmp_path, capsys):
+    csv_path = tmp_path / "fleet.csv"
+    cache_path = tmp_path / "fleet.cache"
+    run(capsys, "synth", "--healthy", "4", "--failed", "2", "--attrs", "2",
+        "--days", "40", "--seed", "1", "--out", str(csv_path))
+    text = csv_path.read_text()
+    first = next(n for n, line in enumerate(text.splitlines(), start=1)
+                 if ",SH00001," in line)
+    csv_path.write_text(text.replace(",SH00001,", ",SH\u00c40001,"), encoding="utf-8")
+    code, _, err = run(capsys, "prep", "--input", str(csv_path),
+                       "--out", str(cache_path), "--attrs", "smart_5_raw,smart_9_raw",
+                       "--clusters", "1", "--window", "10")
+    assert code == 1
+    assert f"line {first}: serial_number 'SH\u00c40001' is not ASCII" in err
+    assert not cache_path.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_cache_that_is_not_ascii_is_named(tmp_path, capsys, command):
+    cache_path = tmp_path / "fleet.cache"
+    cache_path.write_bytes("LPAT-DATA v2\nattrs smart_5_r\u00e4w\n".encode("utf-8"))
+    ckpt_path = tmp_path / "model.ckpt"
+    code, out, err = run(capsys, command, "--data", str(cache_path),
+                         "--out" if command == "train" else "--checkpoint", str(ckpt_path))
+    assert code == 1 and not out
+    assert f"lpat {command}: {cache_path}: not a text cache" in err
+    assert not ckpt_path.exists()
+
+
+def test_prep_with_no_attribute_fails_and_writes_no_cache(tmp_path, capsys):
+    cache_path = tmp_path / "x.cache"
+    code, out, err = run(capsys, "prep", "--input", str(FIXTURE), "--out", str(cache_path),
+                         "--attrs", ",", "--clusters", "1", "--window", "1")
+    assert code == 1 and not out
+    assert "no attribute column requested" in err
+    assert not cache_path.exists()
+
+
 @pytest.mark.parametrize("argv,missing", [
     (["prep", "--out", "x.cache"], "input"),
     (["prep", "--input", "x.csv"], "out"),

@@ -464,6 +464,17 @@ def _edit_line(path, lineno, text):
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_a_failed_cache_save_leaves_the_old_file(tmp_path):
+    path = tmp_path / "data.cache"
+    cache.save_split(_special_split(), path)
+    before = path.read_bytes()
+    split = _special_split()
+    split.test[0].serial = "S\u00c41"
+    with pytest.raises(ValueError):
+        cache.save_split(split, path)
+    assert path.read_bytes() == before
+
+
 def test_cache_v2_round_trip_is_bit_exact_for_special_values(tmp_path):
     split = _special_split()
     path = tmp_path / "s.cache"

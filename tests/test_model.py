@@ -331,6 +331,15 @@ def test_checkpoint_meta_values_round_trip_verbatim(tmp_path):
     assert ckpt.checkpoint_load(path)[1] == meta
 
 
+def test_a_failed_checkpoint_save_leaves_the_old_file(tmp_path):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path, meta={"attrs": "smart_5_raw"})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        ckpt.checkpoint_save(tiny_net(13), path, meta={"attrs": "smart_5_r\u00e4w"})
+    assert path.read_bytes() == before
+
+
 def test_checkpoint_wrong_magic_raises_format_error(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("NOT-A-CKPT v9\n")

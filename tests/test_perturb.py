@@ -250,6 +250,25 @@ def test_virtual_mode_ignores_labels_entirely():
             assert np.array_equal(mixed[m][i], nolab[m][i])
 
 
+@pytest.mark.parametrize("mode", ["supervised_at", "virtual_at"])
+def test_without_base_the_clean_pass_is_run_in_place(mode):
+    net = tiny_net(9)
+    X = np.random.default_rng(9).uniform(size=(5, 3, 2))
+    labels = [0, 1, 2, 1, 0]
+    cfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=1.5, xi=0.5)
+    own = perturb.compute_perturbation_tensors(net, X, labels, cfg, seed=3, epoch=1,
+                                               batch_index=2)
+    bases = [model.forward_batch(net, X)]
+    if mode == "virtual_at":
+        bases.append(model.forward_batch(net, X).activations())
+    for base in bases:
+        given = perturb.compute_perturbation_tensors(net, X, labels, cfg, seed=3, epoch=1,
+                                                     batch_index=2, base=base)
+        assert list(given) == list(own) == [0, 1, 2, 3, 4]
+        for m in own:
+            assert given[m].tobytes() == own[m].tobytes(), (type(base).__name__, m)
+
+
 def test_config_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         perturb.PerturbationConfig(mode="bogus")
