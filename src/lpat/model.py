@@ -18,7 +18,10 @@ exact reverse-mode gradients (full backpropagation through time) for all
 parameters and for the activation at every injection point. The inference
 pass (``predict_proba``) keeps neither: its LSTM overwrites one (B, q) state
 block per step. Both passes share the LSTM input GEMM and gate math, so they
-give the same bits. All arithmetic is float64.
+give the same bits. All arithmetic is float64, on numpy and BLAS alone:
+the gate sigmoid is ``1 / (1 + exp(-a))``, computed in place and a few ulp
+from the exact logistic, and each dense weight gradient is one GEMM over the
+B*w rows of a batch.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 ALL_POINTS = (0, 1, 2, 3, 4)
 
@@ -219,12 +221,20 @@ def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
     recurrent or forget term), and may be the very arrays ``h`` and ``c``:
     both are read, into the scratch blocks ``rec`` (B, 4q) and ``fc``
     (B, q), before either is written.
+
+    The sigmoid is ``1 / (1 + exp(-a))`` on the (B, 3q) block, in place; a
+    pre-activation below about -709 overflows ``exp`` to inf and gives
+    exactly 0, so callers run it under ``np.errstate(over="ignore")``.
     """
     q = U.shape[1]
     if h_prev is not None:
         np.matmul(h_prev, U.T, out=rec)
         g += rec
-    sigmoid(g[:, :3 * q], out=g[:, :3 * q])
+    s = g[:, :3 * q]
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
     np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
     if c_prev is not None:
         np.multiply(g[:, q:2 * q], c_prev, out=fc)
@@ -247,10 +257,11 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
     depth = w if history else 1
     c, tanh_c, h = (np.empty((depth, B, q)) for _ in range(3))
     rec, fc = np.empty((B, 4 * q)), np.empty((B, q))
-    for t in range(w):
-        s = t if history else 0
-        h_prev, c_prev = (h[s - 1], c[s - 1]) if t > 0 else (None, None)
-        _lstm_cell(p.U, gates[t], h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
+    with np.errstate(over="ignore"):
+        for t in range(w):
+            s = t if history else 0
+            h_prev, c_prev = (h[s - 1], c[s - 1]) if t > 0 else (None, None)
+            _lstm_cell(p.U, gates[t], h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
     return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
 
 
@@ -406,6 +417,12 @@ def _lstm_backward(p: LstmParams, cache: ForwardCache, dh_last: np.ndarray,
     return dx, None
 
 
+def _dense_weight_grad(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weight gradient of a per-step dense layer, summed over batch and
+    time: ``sum_{b,t} dy[b, t] x[b, t]^T`` as one GEMM over the (B*w) rows."""
+    return dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+
+
 def backward_batch(net: Network, cache: Activations, dlogits: np.ndarray, *,
                    want_param_grads: bool = True, down_to: int = 0):
     """Exact gradients of a scalar objective given its logit gradient.
@@ -440,7 +457,7 @@ def backward_batch(net: Network, cache: Activations, dlogits: np.ndarray, *,
         return grads, act
 
     if want_param_grads:
-        grads["dense2.W"] = np.einsum("bto,bti->oi", dx2, cache.xhat[1])
+        grads["dense2.W"] = _dense_weight_grad(dx2, cache.xhat[1])
         grads["dense2.b"] = dx2.sum(axis=(0, 1))
     g1 = dx2 @ net.dense2.W
     act[1] = g1
@@ -448,7 +465,7 @@ def backward_batch(net: Network, cache: Activations, dlogits: np.ndarray, *,
         return grads, act
 
     if want_param_grads:
-        grads["dense1.W"] = np.einsum("bto,bti->oi", g1, cache.xhat[0])
+        grads["dense1.W"] = _dense_weight_grad(g1, cache.xhat[0])
         grads["dense1.b"] = g1.sum(axis=(0, 1))
     act[0] = g1 @ net.dense1.W
     return grads, act

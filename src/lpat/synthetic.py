@@ -70,10 +70,11 @@ def generate_synthetic(config: SynthConfig) -> list[DriveTimeline]:
 
 
 def _timeline(serial: str, dates, values: np.ndarray, fail: bool) -> DriveTimeline:
+    rows = values.tolist()  # Python floats, converted once per drive
     records = [
         SmartRecord(serial=serial, date=d, model=MODEL_NAME,
                     failure=fail and t == len(dates) - 1,
-                    attrs=tuple(float(v) for v in values[t]))
+                    attrs=tuple(rows[t]))
         for t, d in enumerate(dates)
     ]
     return DriveTimeline(serial=serial, records=records,

@@ -628,7 +628,9 @@ def backblaze_csv(draw):
     header = ("date,serial_number,model,capacity_bytes,failure,"
               "smart_5_normalized,smart_5_raw,smart_9_normalized,smart_9_raw")
     text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-    return text, any(t in NON_FINITE_CELLS for _, _, t in specials)
+    # a later special may overwrite an earlier one in the same cell, so
+    # judge the cells as written
+    return text, any(rows[r][c] in NON_FINITE_CELLS for r, c, _ in specials)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,14 @@
 """No module of the package, of this test suite or of the benchmark imports a
-name it never uses, and every top-level definition of the package is read
-somewhere.
+name it never uses, every top-level definition of the package is read
+somewhere, and the package runs without SciPy.
 
 Stdlib ``ast`` scans, so the checks need no linter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -110,3 +113,16 @@ def test_dead_definition_scan_flags_what_it_should(tmp_path):
 def test_every_top_level_definition_of_the_package_is_read():
     package = sorted((ROOT / "src/lpat").glob("*.py"))
     assert dead_definitions(package, _checked_files()) == []
+
+
+def test_the_package_loads_no_scipy():
+    """SciPy is a test dependency only: a fresh interpreter that imports the
+    CLI and every module of the package has no ``scipy`` module loaded."""
+    modules = sorted(f"lpat.{path.stem}" for path in (ROOT / "src/lpat").glob("*.py")
+                     if path.stem != "__init__")
+    probe = (f"import sys, lpat.cli, {', '.join(modules)}\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,10 +1,12 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from lpat import checkpoint as ckpt
 from lpat import model
@@ -98,6 +100,42 @@ def test_lstm_zero_params_zero_state_gives_zero_hidden_for_any_input():
     x = rng.normal(size=(2, 7, 3)) * 10.0
     _, _, _, h = model._lstm_forward(p, x)
     assert np.array_equal(h, np.zeros_like(h))
+
+
+# ------------------------------------------------------------------ gate math
+
+def test_cached_gates_are_the_logistic_and_tanh_of_their_pre_activations():
+    net = model.init_network(8, 16, 16, 12, 3, seed=6)
+    q = net.lstm.units
+    X = np.random.default_rng(6).normal(size=(7, 6, 8)) * 4.0
+    cache = model.forward_batch(net, X)
+    x, p = cache.xhat[2], net.lstm
+    for t in range(X.shape[1]):
+        pre = x[:, t] @ p.W.T + p.b
+        if t > 0:
+            pre += cache.h[:, t - 1] @ p.U.T
+        gates = cache.gates[:, t]
+        assert rel_error(gates[:, :3 * q], expit(pre[:, :3 * q])) < 1e-15, t
+        assert rel_error(gates[:, 3 * q:], np.tanh(pre[:, 3 * q:])) < 1e-15, t
+
+
+def test_saturated_gates_are_exact_and_raise_no_warning():
+    net = tiny_net(7)
+    q = net.lstm.units
+    net.lstm.W *= 1e-3
+    net.lstm.U *= 1e-3
+    sign = np.where(np.arange(4 * q) % 2 == 0, 1.0, -1.0)
+    net.lstm.b[:] = 1000.0 * sign
+    X = np.random.default_rng(7).uniform(size=(4, 5, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cache = model.forward_batch(net, X)
+        probs = model.predict_proba(net, X)
+    assert np.array_equal(cache.gates[..., :3 * q],
+                          np.broadcast_to(sign[:3 * q] > 0, (4, 5, 3 * q)).astype(float))
+    assert np.array_equal(cache.gates[..., 3 * q:],
+                          np.broadcast_to(sign[3 * q:], (4, 5, q)))
+    assert np.array_equal(probs, cache.probs)
 
 
 # ------------------------------------------------------------- forward passes
@@ -297,6 +335,24 @@ def test_backward_down_to_skips_lower_layers():
     with pytest.raises(ValueError):
         model.backward_batch(net, cache, dl, want_param_grads=True, down_to=2)
     assert full_grads is not None
+
+
+@pytest.mark.parametrize("B, w, contiguous", [
+    (7, 5, True), (7, 5, False), (1, 5, False), (6, 1, False), (1, 1, True)])
+def test_dense_weight_gradients_equal_the_einsum_sum(B, w, contiguous):
+    net = model.init_network(8, 16, 16, 12, 3, seed=8)
+    rng = np.random.default_rng(8)
+    if contiguous:
+        X = rng.normal(size=(B, w, 8))
+    else:
+        X = rng.normal(size=(w, B, 16))[:, :, ::2].transpose(1, 0, 2)
+    cache = model.forward_batch(net, X)
+    assert cache.xhat[0].flags.c_contiguous == contiguous
+    dl = model.nll_dlogits(cache.probs, rng.integers(0, 3, size=B))
+    grads, act = model.backward_batch(net, cache, dl)
+    for name, dy, x in (("dense2.W", act[2], cache.xhat[1]),
+                        ("dense1.W", act[1], cache.xhat[0])):
+        assert rel_error(grads[name], np.einsum("bto,bti->oi", dy, x)) < 1e-12, name
 
 
 # ----------------------------------------------------------------- checkpoint
