@@ -18,10 +18,17 @@ exact reverse-mode gradients (full backpropagation through time) for all
 parameters and for the activation at every injection point. The inference
 pass (``predict_proba``) keeps neither: its LSTM overwrites one (B, q) state
 block per step. Both passes share the LSTM input GEMM and gate math, so they
-give the same bits. All arithmetic is float64, on numpy and BLAS alone:
-the gate sigmoid is ``1 / (1 + exp(-a))``, computed in place and a few ulp
-from the exact logistic, and each dense weight gradient is one GEMM over the
-B*w rows of a batch.
+give the same bits. Arithmetic runs on numpy and BLAS alone: the gate
+sigmoid is ``1 / (1 + exp(-a))``, computed in place and a few ulp from the
+exact logistic, and each dense weight gradient is one GEMM over the B*w rows
+of a batch.
+
+Precision is the network's: every pass runs in the dtype of its parameters.
+Inputs are cast to it, state and scratch are allocated in it, perturbations
+and logit gradients are cast to the dtype of the activation they meet, so a
+float64 operand never turns a float32 pass into a float64 one. Networks are
+float64 (``init_network``, checkpoints); training runs its passes on a
+float32 copy (see ``training``).
 """
 
 from __future__ import annotations
@@ -113,6 +120,10 @@ class Network:
 
     def copy(self) -> "Network":
         return Network.from_params({k: a.copy() for k, a in self.params().items()})
+
+    def astype(self, dtype) -> "Network":
+        """A copy with every parameter cast to ``dtype``."""
+        return Network.from_params({k: a.astype(dtype) for k, a in self.params().items()})
 
 
 def param_shapes(dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
@@ -255,8 +266,8 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
     w, B, _ = gates.shape
     q = p.units
     depth = w if history else 1
-    c, tanh_c, h = (np.empty((depth, B, q)) for _ in range(3))
-    rec, fc = np.empty((B, 4 * q)), np.empty((B, q))
+    c, tanh_c, h = (np.empty((depth, B, q), dtype=x.dtype) for _ in range(3))
+    rec, fc = np.empty((B, 4 * q), dtype=x.dtype), np.empty((B, q), dtype=x.dtype)
     with np.errstate(over="ignore"):
         for t in range(w):
             s = t if history else 0
@@ -284,12 +295,12 @@ def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
 
     ``xhat`` holds the activations below ``start`` as they fed the next
     layer and the unperturbed one at ``start``; each point m from ``start``
-    up gets ``perts[m]`` added before it feeds the next layer. The result is a
-    ``ForwardCache`` when the LSTM ran (``start`` below 3), else the
-    ``Activations`` alone.
+    up gets ``perts[m]``, cast to the activation's dtype, added before it
+    feeds the next layer. The result is a ``ForwardCache`` when the LSTM ran
+    (``start`` below 3), else the ``Activations`` alone.
     """
     def inject(m, a):
-        xhat[m] = a + perts[m] if m in perts else a
+        xhat[m] = a + np.asarray(perts[m], dtype=a.dtype) if m in perts else a
 
     inject(start, xhat[start])
     if start < 1:
@@ -308,9 +319,9 @@ def _forward_from(net: Network, xhat: dict[int, np.ndarray], start: int,
 
 
 def _as_input(net: Network, X) -> np.ndarray:
-    """``X`` as a float (B, w, n) batch; ShapeError unless n is the
-    network's attribute count."""
-    X = np.asarray(X, dtype=float)
+    """``X`` as a (B, w, n) batch in the network's dtype; ShapeError unless
+    n is the network's attribute count."""
+    X = np.asarray(X, dtype=net.dense1.W.dtype)
     if X.ndim != 3:
         raise ShapeError(f"expected (batch, window, attrs) input, got shape {X.shape}")
     if X.shape[2] != net.dense1.in_dim:
@@ -389,14 +400,14 @@ def _lstm_backward(p: LstmParams, cache: ForwardCache, dh_last: np.ndarray,
         db = np.zeros_like(p.b)
     dx = np.empty_like(x)
     dh = dh_last
-    dc = np.zeros((B, q))
+    dc = np.zeros((B, q), dtype=x.dtype)
     for t in reversed(range(w)):
         g = cache.gates[:, t]
         i_t, f_t, o_t, j_t = g[:, :q], g[:, q:2 * q], g[:, 2 * q:3 * q], g[:, 3 * q:]
         tc = cache.tanh_c[:, t]
         do = dh * tc
         dc = dc + dh * o_t * (1.0 - tc * tc)
-        da = np.empty((B, 4 * q))
+        da = np.empty((B, 4 * q), dtype=x.dtype)
         da[:, :q] = dc * j_t * i_t * (1.0 - i_t)
         if t > 0:
             da[:, q:2 * q] = dc * cache.c[:, t - 1] * f_t * (1.0 - f_t)
@@ -431,11 +442,12 @@ def backward_batch(net: Network, cache: Activations, dlogits: np.ndarray, *,
     sum over the batch, activation gradients stay per sample. ``down_to``
     stops the sweep once the gradient at that injection point is known
     (parameter gradients then require down_to == 0). A sweep below point 3
-    reads the LSTM internals, so it needs a ``ForwardCache``.
+    reads the LSTM internals, so it needs a ``ForwardCache``. ``dlogits`` is
+    cast to the dtype of the pass.
     """
     if want_param_grads and down_to != 0:
         raise ValueError("parameter gradients require a full sweep (down_to=0)")
-    dlogits = np.asarray(dlogits, dtype=float)
+    dlogits = np.asarray(dlogits, dtype=cache.probs.dtype)
     grads: Optional[dict[str, np.ndarray]] = {} if want_param_grads else None
     act: dict[int, np.ndarray] = {4: dlogits}
     if down_to >= 4:

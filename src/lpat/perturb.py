@@ -19,6 +19,16 @@ means very different relative sizes at different points. The virtual
 construction approximates the power-iteration step only while ``xi`` is small
 next to the activation it nudges and next to ``epsilon``; at larger ``xi`` the
 probe measures a finite jump, not the local curvature.
+
+Precision: noise, ``unit_rows`` and ``scale_rows`` are float64; the nudge
+is added, and each returned tensor is given, in the dtype of the activation
+it perturbs. On a float32 network (every training pass) ``xi`` also has a
+floor: the nudge must stand clear of float32 rounding in the activation and
+in the output. On a 3-epoch benchmark-size network, median activation norms
+1.7 to 4.4, the per-window cosine of float32 to float64 directions was at
+least 0.9995 at ``xi`` >= 0.1 and 0.978 at 0.01; at 0.001 the median stayed
+above 0.9997 but single windows fell to 0.66, and at 1e-4 directions were
+lost (cosines near 0, or no gradient at all).
 """
 
 from __future__ import annotations
@@ -151,7 +161,8 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
         dlogits = -model.nll_dlogits(base.probs, labels)  # gradient of +log p(label)
         _, act = model.backward_batch(net, base, dlogits,
                                       want_param_grads=False, down_to=min(points))
-        return {m: scale_rows(act[m], -config.eps_for(m)) for m in points}
+        return {m: scale_rows(act[m], -config.eps_for(m)).astype(act[m].dtype, copy=False)
+                for m in points}
 
     if base is None:
         base = model.forward_batch(net, X).activations()
@@ -163,6 +174,6 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
         dlogits = model.kl_dlogits(base.probs, nudged.probs)
         _, act = model.backward_batch(net, nudged, dlogits,
                                       want_param_grads=False, down_to=m)
-        out[m] = scale_rows(act[m], config.eps_for(m))
+        out[m] = scale_rows(act[m], config.eps_for(m)).astype(act[m].dtype, copy=False)
         del nudged, act
     return out

@@ -15,6 +15,12 @@ finite, which stops training with NonFiniteLossError.
 Each pass's cache is freed after its last reader, so at most one pass's
 LSTM internals are alive at a time, and none when a new LSTM pass starts.
 
+Precision: every pass of steps 2-5 runs in ``TRAIN_DTYPE`` (float32) on a
+copy of the float64 master network made at the start of the step, on
+features cast once before the first epoch. The gradients are upcast to
+float64 once per step, and the master parameters, the RMSProp state,
+validation and the returned checkpoint stay float64.
+
 Perturbation noise lives on its own RNG stream keyed by
 (seed, epoch, batch, point), so computing perturbations never disturbs
 batch composition; with lambda = 0 the adversarial term contributes exactly
@@ -36,6 +42,8 @@ RMSPROP_RHO = 0.9     # decay of the squared-gradient average
 RMSPROP_DELTA = 1e-8  # added to its square root
 
 REPORT_MAGIC = "# lpat-train-report v1"
+
+TRAIN_DTYPE = np.float32  # precision of every training pass
 
 
 @dataclass
@@ -238,9 +246,9 @@ def train(dataset, train_config: TrainConfig,
             "supervised adversarial mode cannot train on unlabeled samples; "
             "set unlabeled_frac=0 or switch to virtual_at")
 
-    X_l = _stack_features(labeled)
+    X_l = _stack_features(labeled).astype(TRAIN_DTYPE)
     y_l = np.array([int(s.label) for s in labeled])
-    X_u = _stack_features(unlabeled) if unlabeled else None
+    X_u = _stack_features(unlabeled).astype(TRAIN_DTYPE) if unlabeled else None
 
     n = X_l.shape[2]
     net = model.init_network(n, cfg.hidden1, cfg.hidden2, cfg.lstm_units,
@@ -264,8 +272,10 @@ def train(dataset, train_config: TrainConfig,
             if n_u_rows:
                 ui = rng_data.integers(0, len(unlabeled), size=n_u_rows)
                 Xb = np.concatenate([Xb, X_u[ui]], axis=0)
-            grads, loss = _batch_gradients(net, Xb, yb, pcfg, cfg.seed, epoch, b)
-            rmsprop_step(params, grads, acc, cfg.learning_rate)
+            grads, loss = _batch_gradients(net.astype(TRAIN_DTYPE), Xb, yb, pcfg,
+                                           cfg.seed, epoch, b)
+            rmsprop_step(params, {k: g.astype(np.float64) for k, g in grads.items()},
+                         acc, cfg.learning_rate)
             batch_losses.append(loss)
 
         valid_loss = float("nan")

@@ -290,18 +290,20 @@ def _class_margin(samples):
 def _trend_table(scores, reports, margins):
     """Per-seed macro-F1 of every variant next to the measured premises: the
     class margin, and each run's validation loss at epoch 1, at its minimum
-    (with that epoch) and at the last epoch."""
-    curves = {(name, seed): [e.valid_loss for e in r.epochs]
-              for name, seed, r in reports}
+    (with that epoch) and at the last epoch, then the epoch ``training.train``
+    kept (best validation macro-F1), whose network the macro-F1 scores."""
+    by_run = {(name, seed): r for name, seed, r in reports}
     lines = [f"eps {TREND_EPS}, xi {TREND_XI}, {TREND_EPOCHS} epochs; per run: "
-             "test macro-F1 [valid loss epoch 1 > minimum@epoch > last]"]
+             "test macro-F1 [valid loss epoch 1 > minimum@epoch > last; kept epoch]"]
     for i, seed in enumerate(TREND_SEEDS):
         cells = []
         for name in TREND_RUNS:
-            vl = curves[(name, seed)]
+            report = by_run[(name, seed)]
+            vl = [e.valid_loss for e in report.epochs]
             k = int(np.argmin(vl))
             cells.append(f"{name} {scores[name][i]:.4f} "
-                         f"[{vl[0]:.3f} > {vl[k]:.3f}@{k + 1} > {vl[-1]:.3f}]")
+                         f"[{vl[0]:.3f} > {vl[k]:.3f}@{k + 1} > {vl[-1]:.3f}; "
+                         f"kept {report.best_epoch}]")
         lines.append(f"seed {seed} margin {margins[i]:.4f}: " + ", ".join(cells))
     lines.append("means " + ", ".join(f"{name} {np.mean(v):.4f}"
                                       for name, v in scores.items()))

@@ -355,6 +355,84 @@ def test_dense_weight_gradients_equal_the_einsum_sum(B, w, contiguous):
         assert rel_error(grads[name], np.einsum("bto,bti->oi", dy, x)) < 1e-12, name
 
 
+# ------------------------------------------------------------------ precision
+
+class AllocationSpy:
+    """Stands in for ``np`` inside ``model`` and records the dtype of every
+    array it allocates there; everything else is numpy's own."""
+
+    ALLOCATORS = ("empty", "zeros", "empty_like", "zeros_like")
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.ALLOCATORS:
+            return attr
+
+        def allocate(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.dtypes.append(out.dtype)
+            return out
+        return allocate
+
+
+def pass_operands(seed, B=4, w=3):
+    """An input batch, a perturbation at every point and a logit gradient,
+    all float64, shaped for ``TINY``."""
+    rng = np.random.default_rng(seed)
+    shapes = {0: (B, w, 2), 1: (B, w, 4), 2: (B, w, 4), 3: (B, 5), 4: (B, 3)}
+    return (rng.uniform(size=(B, w, 2)),
+            {m: 0.1 * rng.normal(size=s) for m, s in shapes.items()},
+            rng.normal(size=(B, 3)))
+
+
+def pass_arrays(cache, grads, act):
+    out = [*cache.xhat.values(), cache.probs, *act.values(), *(grads or {}).values()]
+    if isinstance(cache, model.ForwardCache):
+        out += [cache.gates, cache.c, cache.tanh_c, cache.h]
+    return out
+
+
+def test_a_float32_network_runs_every_pass_in_float32(monkeypatch):
+    """A float32 network fed a float64 batch, float64 perturbations and a
+    float64 logit gradient: every activation, LSTM internal and gradient of
+    its passes is float32, and so is every array the passes allocate."""
+    net = tiny_net(3).astype(np.float32)
+    X, perts, dlogits = pass_operands(3)
+    spy = AllocationSpy()
+    monkeypatch.setattr(model, "np", spy)
+    cache = model.forward_batch(net, X, perts)
+    arrays = pass_arrays(cache, *model.backward_batch(net, cache, dlogits))
+    for m in model.ALL_POINTS:
+        resumed = model.resume_forward(net, cache, m, perts[m])
+        arrays += pass_arrays(resumed, *model.backward_batch(
+            net, resumed, dlogits, want_param_grads=False, down_to=m))
+    arrays.append(model.predict_proba(net, X))
+    monkeypatch.undo()
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert spy.dtypes and set(spy.dtypes) == {np.dtype(np.float32)}
+
+
+def test_a_float64_network_runs_float32_operands_in_float64():
+    """Operands cast up exactly, so the pass is the one on float64 copies of
+    them, bit for bit."""
+    net = tiny_net(4)
+    X, perts, dlogits = pass_operands(4)
+    X32, dl32 = X.astype(np.float32), dlogits.astype(np.float32)
+    perts32 = {m: r.astype(np.float32) for m, r in perts.items()}
+    cache = model.forward_batch(net, X32, perts32)
+    grads, act = model.backward_batch(net, cache, dl32)
+    ref = model.forward_batch(net, X32.astype(float),
+                              {m: r.astype(float) for m, r in perts32.items()})
+    ref_grads, ref_act = model.backward_batch(net, ref, dl32.astype(float))
+    for got, want in zip(pass_arrays(cache, grads, act), pass_arrays(ref, ref_grads, ref_act)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(model.predict_proba(net, X32),
+                          model.forward_batch(net, X32.astype(float)).probs)
+
+
 # ----------------------------------------------------------------- checkpoint
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lpat import evaluate as ev
-from lpat import model, perturb, training
+from lpat import checkpoint, model, perturb, training
 
 from oracles import fd_grad_wrt, kl_divergence, rel_error
 
@@ -230,7 +230,8 @@ STEP_LAM = 2.0
 def _capture_first_step(monkeypatch, mode, n_unlabeled):
     """Train a one-step epoch at lambda ``STEP_LAM``, recording what that step
     saw and produced: the network before the update, the batch, its labels
-    and perturbations, the gradients handed to RMSProp, and the report."""
+    and perturbations, all in ``training.TRAIN_DTYPE``, the gradients handed
+    to RMSProp, and the report."""
     data = toy_dataset(seed=9, per_class=4, n_valid=0, n_unlabeled=n_unlabeled)
     cfg = small_cfg(epochs=1, hidden1=3, hidden2=3, lstm_units=4,
                     unlabeled_frac=1.0 if n_unlabeled else 0.0)
@@ -256,6 +257,8 @@ def _capture_first_step(monkeypatch, mode, n_unlabeled):
     n_lab = sum(lbl is not None for lbl in seen["step"][2])
     assert n_lab == 12 and (len(seen["step"][2]) > n_lab) == bool(n_unlabeled)
     assert len(report.epochs) == 1
+    _, X, _, tensors = seen["step"]
+    assert {a.dtype for a in (X, *tensors.values())} == {np.dtype(training.TRAIN_DTYPE)}
     return seen["step"], seen["grads"], report
 
 
@@ -264,9 +267,13 @@ def _capture_first_step(monkeypatch, mode, n_unlabeled):
 def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode,
                                                                n_unlabeled):
     """The update direction is the exact gradient of the documented objective
-    nll + lambda * lap, perturbations and reference distribution held fixed."""
+    nll + lambda * lap, perturbations and reference distribution held fixed,
+    finite differences taken in float64 at the point the float32 step saw."""
     (net, X, labels, tensors), grads, _ = _capture_first_step(monkeypatch, mode,
                                                               n_unlabeled)
+    # exactly the values the float32 step saw, as float64
+    net, X = net.astype(np.float64), X.astype(np.float64)
+    tensors = {m: t.astype(np.float64) for m, t in tensors.items()}
     n_lab = sum(lbl is not None for lbl in labels)
     assert sorted(tensors) == list(model.ALL_POINTS)
     y = np.array(labels[:n_lab])
@@ -294,13 +301,14 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
                                               ("virtual_at", 6)])
 def test_one_step_epoch_reports_nll_plus_lambda_lap(monkeypatch, mode, n_unlabeled):
     """The train loss an epoch of one step reports is nll + lambda * lap,
-    both computed here from forward passes over the step's batch."""
+    both computed here in float64 from the step's own forward passes: re-run
+    on the captured float32 network, batch and perturbations, then upcast."""
     (net, X, labels, tensors), _, report = _capture_first_step(monkeypatch, mode,
                                                                n_unlabeled)
     n_lab = sum(lbl is not None for lbl in labels)
     y = np.array(labels[:n_lab])
-    p_ref = model.forward_batch(net, X).probs
-    q = model.forward_batch(net, X, tensors).probs
+    p_ref = model.forward_batch(net, X).probs.astype(np.float64)
+    q = model.forward_batch(net, X, tensors).probs.astype(np.float64)
     nll = -np.mean(np.log(p_ref[np.arange(n_lab), y]))
     lap = np.mean([kl_divergence(p_ref[i], q[i]) for i in range(len(X))])
     assert lap > 0.0
@@ -405,6 +413,54 @@ def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
     assert len(passes) == per_step * len(updates)
     assert inference_passes == [len(data.valid)] * epochs
     assert max(alive_at_start) == 0
+
+
+@pytest.mark.parametrize("mode,n_unlabeled", [("none", 8), ("supervised_at", 0),
+                                              ("virtual_at", 8)])
+def test_every_training_pass_runs_in_the_training_dtype(monkeypatch, mode, n_unlabeled):
+    """The clean pass, the probes and the perturbed pass of every step run
+    their LSTM in float32 on float32 parameters; validation's inference
+    pass and the gradients handed to RMSProp are float64."""
+    real_lstm = model._lstm_forward
+    step_dtypes, inference_dtypes = [], []
+
+    def spy_lstm(p, x, history=True):
+        out = real_lstm(p, x, history)
+        dtypes = {a.dtype for a in (x, p.W, p.U, p.b, *out)}
+        (step_dtypes if history else inference_dtypes).append(dtypes)
+        return out
+
+    monkeypatch.setattr(model, "_lstm_forward", spy_lstm)
+    updates = _spy_updates(monkeypatch)
+    data = toy_dataset(seed=3, per_class=10, n_unlabeled=n_unlabeled)
+    pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=0.5,
+                                      xi=0.1, lam=1.0)
+    training.train(data, small_cfg(epochs=2,
+                                   unlabeled_frac=1.0 if n_unlabeled else 0.0), pcfg)
+    per_step = {"none": 1, "supervised_at": 2, "virtual_at": 5}[mode]
+    assert len(step_dtypes) == per_step * len(updates)
+    assert step_dtypes == [{np.dtype(training.TRAIN_DTYPE)}] * len(step_dtypes)
+    assert inference_dtypes == [{np.dtype(np.float64)}] * 2
+    assert {g.dtype for u in updates for g in u.values()} == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("n_valid", [6, 0], ids=["kept-epoch", "final-epoch"])
+def test_training_returns_a_float64_network(tmp_path, n_valid):
+    """The returned network, its checkpoint and its predictions are float64,
+    whether validation chose the epoch or the last one is kept."""
+    data = toy_dataset(seed=5, per_class=6, n_valid=n_valid, n_unlabeled=4)
+    pcfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
+                                      epsilon=0.5, xi=0.1)
+    net, _ = training.train(data, small_cfg(epochs=2), pcfg)
+    assert {a.dtype for a in net.params().values()} == {np.dtype(np.float64)}
+    path = tmp_path / "net.ckpt"
+    checkpoint.checkpoint_save(net, path)
+    loaded, _ = checkpoint.checkpoint_load(path)
+    for name, arr in loaded.params().items():
+        assert arr.dtype == np.float64 and np.array_equal(arr, net.params()[name])
+    X = np.stack([s.features for s in data.train_labeled])
+    assert model.predict_proba(net, X).dtype == np.float64
+    assert training.predict(net, X[0])[1].dtype == np.float64
 
 
 # ------------------------------------------------------------------- predict
