@@ -9,9 +9,10 @@ feature values.
 Every float (extrema and features) is written in the exact encoding of
 ``hexrows``: the 16 hex digits of its big-endian bit pattern, one space
 between values. All feature rows of a file decode in one ``bytes.fromhex``.
-Labels outside {0, 1, 2, u} and non-finite values are rejected with the
-line they are on. ``LPAT-DATA v1`` caches, which held decimal values, are
-not read: rebuild them with ``lpat prep``.
+Labels outside {0, 1, 2, u}, ``u`` in train_labeled or valid, a label
+other than ``u`` in train_unlabeled, a window below 1 and non-finite values
+are rejected with the line they are on. ``LPAT-DATA v1`` caches, which held
+decimal values, are not read: rebuild them with ``lpat prep``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ MAGIC = "LPAT-DATA v2"
 MAGIC_V1 = "LPAT-DATA v1"
 SECTIONS = ("train_labeled", "train_unlabeled", "valid", "test")
 LABELS = {"0": 0, "1": 1, "2": 2, "u": None}
+SECTION_LABELS = {  # the labels each section may hold
+    "train_labeled": ("0", "1", "2"),
+    "train_unlabeled": ("u",),
+    "valid": ("0", "1", "2"),
+    "test": ("0", "1", "2", "u"),  # evaluation refuses u, naming the serial
+}
 
 
 class CacheFormatError(ValueError):
@@ -76,6 +83,8 @@ def load_split(path) -> DatasetSplit:
         window = int(need(2, "window "))
     except ValueError as exc:
         raise CacheFormatError(f"{path}: bad header value ({exc})") from None
+    if window < 1:
+        raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
     v_min = _values(path, [need(3, "vmin ")], len(attrs), lambda r: 3)[0]
     v_max = _values(path, [need(4, "vmax ")], len(attrs), lambda r: 4)[0]
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
@@ -103,9 +112,11 @@ def load_split(path) -> DatasetSplit:
                 end = date.fromisoformat(end_str)
             except ValueError:
                 raise CacheFormatError(f"{path}: bad date at line {i + 1}") from None
-            if label_str not in LABELS:
+            allowed = SECTION_LABELS[name]
+            if label_str not in allowed:
                 raise CacheFormatError(
-                    f"{path}: bad label {label_str!r} at line {i + 1}, expected 0, 1, 2 or u")
+                    f"{path}: bad label {label_str!r} at line {i + 1} in section "
+                    f"{name}, expected {', '.join(allowed)}")
             i += 1
             if i + window > len(lines):
                 raise CacheFormatError(f"{path}: sample block cut short at line {i + 1}")

@@ -40,64 +40,63 @@ class CliError(Exception):
 class Flag:
     name: str          # long flag, e.g. "keep-frac"
     type: type
-    default: object
     help: str
     choices: tuple = ()
     required: bool = False
+    default: object = None  # only for choices the CLI owns; unset flags stay None
+    key: str = ""      # the library keyword it sets, where that is not its name
 
     @property
     def dest(self) -> str:
-        if self.name == "lambda":  # keyword-safe attribute name
-            return "lam"
-        return self.name.replace("-", "_")
+        return self.key or self.name.replace("-", "_")
 
 
 SCHEMAS: dict[str, list[Flag]] = {
     "prep": [
-        Flag("input", str, None, "input CSV in the Backblaze daily schema", required=True),
-        Flag("out", str, None, "dataset cache file to write", required=True),
-        Flag("attrs", str, ",".join(data.DEFAULT_ATTRS), "comma-separated attribute columns"),
-        Flag("clusters", int, 10, "k for the healthy-drive k-means subset"),
-        Flag("keep-frac", float, 0.3, "fraction of each cluster kept (nearest the centroid)"),
-        Flag("window", int, 20, "window length in days"),
-        Flag("seed", int, 0, "pipeline seed"),
+        Flag("input", str, "input CSV in the Backblaze daily schema", required=True),
+        Flag("out", str, "dataset cache file to write", required=True),
+        Flag("attrs", str, "comma-separated attribute columns"),
+        Flag("clusters", int, "k for the healthy-drive k-means subset"),
+        Flag("keep-frac", float, "fraction of each cluster kept (nearest the centroid)"),
+        Flag("window", int, "window length in days"),
+        Flag("seed", int, "pipeline seed"),
     ],
     "synth": [
-        Flag("healthy", int, 100, "number of healthy drives"),
-        Flag("failed", int, 10, "number of failing drives"),
-        Flag("attrs", int, 8, "number of SMART attributes"),
-        Flag("days", int, 60, "history length per drive"),
-        Flag("seed", int, 0, "generator seed"),
-        Flag("out", str, None, "CSV file to write", required=True),
+        Flag("healthy", int, "number of healthy drives"),
+        Flag("failed", int, "number of failing drives"),
+        Flag("attrs", int, "number of SMART attributes", key="n_attrs"),
+        Flag("days", int, "history length per drive"),
+        Flag("seed", int, "generator seed"),
+        Flag("out", str, "CSV file to write", required=True),
     ],
     "train": [
-        Flag("data", str, None, "dataset cache from prep", required=True),
-        Flag("mode", str, "lpat", "training mode", ("basic", "at", "vat", "lpat")),
-        Flag("layers", str, None, "injection points", ("input", "bottom", "top", "all")),
-        Flag("epsilon", float, 20.0,
+        Flag("data", str, "dataset cache from prep", required=True),
+        Flag("mode", str, "training mode", ("basic", "at", "vat", "lpat"), default="lpat"),
+        Flag("layers", str, "injection points", ("input", "bottom", "top", "all")),
+        Flag("epsilon", float,
              "perturbation norm: absolute L2 per window, in the scaled units "
              "of each injection point"),
-        Flag("lambda", float, 1.0, "adversarial loss weight"),
-        Flag("xi", float, 10.0,
+        Flag("lambda", float, "adversarial loss weight", key="lam"),
+        Flag("xi", float,
              "finite-difference step for the virtual direction: absolute L2 "
              "per window; keep it small next to the activation and to epsilon"),
-        Flag("unlabeled-frac", float, 1.0, "fraction of the unlabeled pool to use"),
-        Flag("epochs", int, 210, "training epochs"),
-        Flag("batch", int, 128, "mini-batch size"),
-        Flag("lr", float, 0.001, "RMSProp learning rate"),
-        Flag("seed", int, 0, "run seed"),
-        Flag("out", str, None, "checkpoint file to write", required=True),
-        Flag("report", str, None, "per-epoch report file to write"),
+        Flag("unlabeled-frac", float, "fraction of the unlabeled pool to use"),
+        Flag("epochs", int, "training epochs"),
+        Flag("batch", int, "mini-batch size", key="batch_size"),
+        Flag("lr", float, "RMSProp learning rate", key="learning_rate"),
+        Flag("seed", int, "run seed"),
+        Flag("out", str, "checkpoint file to write", required=True),
+        Flag("report", str, "per-epoch report file to write"),
     ],
     "eval": [
-        Flag("data", str, None, "dataset cache from prep", required=True),
-        Flag("checkpoint", str, None, "checkpoint to evaluate", required=True),
-        Flag("split", str, "test", "which split to score", ("valid", "test")),
-        Flag("report", str, None, "metrics file to write"),
+        Flag("data", str, "dataset cache from prep", required=True),
+        Flag("checkpoint", str, "checkpoint to evaluate", required=True),
+        Flag("split", str, "which split to score", ("valid", "test"), default="test"),
+        Flag("report", str, "metrics file to write"),
     ],
     "predict": [
-        Flag("checkpoint", str, None, "trained checkpoint", required=True),
-        Flag("window", str, None, "CSV with exactly the trained window's rows", required=True),
+        Flag("checkpoint", str, "trained checkpoint", required=True),
+        Flag("window", str, "CSV with exactly the trained window's rows", required=True),
     ],
 }
 
@@ -128,14 +127,15 @@ def load_config_file(command: str, path) -> dict:
 
 
 def _settings(command: str, args: argparse.Namespace) -> argparse.Namespace:
-    """Per-command settings: defaults, then the config file, then explicit
-    flags (flags win); every required flag must end up set."""
+    """Per-command settings: the CLI's own defaults, then the config file,
+    then explicit flags (flags win); every required flag must end up set,
+    and every other unset one stays None."""
     flags = SCHEMAS[command]
     values = {f.dest: f.default for f in flags}
     if args.config:
         values.update(load_config_file(command, args.config))
     for f in flags:
-        explicit = getattr(args, f.dest)
+        explicit = getattr(args, f.name.replace("-", "_"))  # argparse's name for it
         if explicit is not None:
             values[f.dest] = explicit
         if f.required and values[f.dest] is None:
@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key=value config file; explicit flags override it")
         for f in flags:
-            kwargs = dict(type=f.type, default=None, help=f.help, dest=f.dest)
+            kwargs = dict(type=f.type, default=None, help=f.help)
             if f.choices:
                 kwargs["choices"] = f.choices
             p.add_argument(f"--{f.name}", **kwargs)
@@ -162,6 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------- commands
 
+def _given(cfg: argparse.Namespace, *keys: str) -> dict:
+    """The settings among ``keys`` that were set; the library applies its
+    own default to the rest."""
+    return {k: getattr(cfg, k) for k in keys if getattr(cfg, k) is not None}
+
+
 def _attr_names(n: int) -> tuple[str, ...]:
     names = list(data.DEFAULT_ATTRS[:n])
     names += [f"smart_{200 + i}_raw" for i in range(len(names), n)]
@@ -169,20 +175,19 @@ def _attr_names(n: int) -> tuple[str, ...]:
 
 
 def cmd_synth(cfg: argparse.Namespace) -> None:
-    sc = synthetic.SynthConfig(healthy=cfg.healthy, failed=cfg.failed,
-                               n_attrs=cfg.attrs, days=cfg.days, seed=cfg.seed)
+    sc = synthetic.SynthConfig(**_given(cfg, "healthy", "failed", "n_attrs", "days", "seed"))
     timelines = synthetic.generate_synthetic(sc)
-    data.write_backblaze_csv(timelines, _attr_names(cfg.attrs), cfg.out)
-    print(f"wrote {len(timelines)} drives ({cfg.healthy} healthy, "
-          f"{cfg.failed} failing) to {cfg.out}")
+    data.write_backblaze_csv(timelines, _attr_names(sc.n_attrs), cfg.out)
+    print(f"wrote {len(timelines)} drives ({sc.healthy} healthy, "
+          f"{sc.failed} failing) to {cfg.out}")
 
 
 def cmd_prep(cfg: argparse.Namespace) -> None:
-    attrs = tuple(a for a in cfg.attrs.split(",") if a)
+    attrs = data.DEFAULT_ATTRS if cfg.attrs is None else tuple(
+        a for a in cfg.attrs.split(",") if a)
     timelines = data.ingest_csv(cfg.input, attrs)
     split, stats = data.prepare_dataset(
-        timelines, attrs=attrs, clusters=cfg.clusters, keep_frac=cfg.keep_frac,
-        window=cfg.window, seed=cfg.seed)
+        timelines, attrs=attrs, **_given(cfg, "clusters", "keep_frac", "window", "seed"))
     cache.save_split(split, cfg.out)
     print(stats.table(), end="")
     print("samples: "
@@ -192,19 +197,12 @@ def cmd_prep(cfg: argparse.Namespace) -> None:
     print(f"cache written to {cfg.out}")
 
 
-def _train_configs(cfg: argparse.Namespace, has_unlabeled: bool
-                   ) -> tuple[TrainConfig, PerturbationConfig]:
-    layers = cfg.layers or DEFAULT_LAYERS[cfg.mode]
-    mode = MODE_MAP[cfg.mode]
-    if mode == "supervised_at" and has_unlabeled and cfg.unlabeled_frac > 0:
-        raise CliError(
-            "mode=at is supervised and cannot use unlabeled data; "
-            "pass --unlabeled-frac 0 or use --mode vat/lpat")
-    pcfg = PerturbationConfig(mode=mode, layers=layers, epsilon=cfg.epsilon,
-                              xi=cfg.xi, lam=cfg.lam)
-    tcfg = TrainConfig(learning_rate=cfg.lr, batch_size=cfg.batch,
-                       epochs=cfg.epochs, unlabeled_frac=cfg.unlabeled_frac,
-                       seed=cfg.seed)
+def _train_configs(cfg: argparse.Namespace) -> tuple[TrainConfig, PerturbationConfig]:
+    pcfg = PerturbationConfig(mode=MODE_MAP[cfg.mode],
+                              layers=cfg.layers or DEFAULT_LAYERS[cfg.mode],
+                              **_given(cfg, "epsilon", "xi", "lam"))
+    tcfg = TrainConfig(**_given(cfg, "learning_rate", "batch_size", "epochs",
+                                "unlabeled_frac", "seed"))
     return tcfg, pcfg
 
 
@@ -221,7 +219,7 @@ def _pipeline_meta(split) -> dict[str, str]:
 
 def cmd_train(cfg: argparse.Namespace) -> None:
     split = cache.load_split(cfg.data)
-    tcfg, pcfg = _train_configs(cfg, bool(split.train_unlabeled))
+    tcfg, pcfg = _train_configs(cfg)
     net, report = training.train(split, tcfg, pcfg)
     meta = {
         **_pipeline_meta(split),
@@ -243,7 +241,7 @@ def cmd_train(cfg: argparse.Namespace) -> None:
     if cfg.report:
         Path(cfg.report).write_text(training.format_report(report))
     last = report.epochs[-1]
-    print(f"trained {cfg.epochs} epochs; best epoch {report.best_epoch}; "
+    print(f"trained {tcfg.epochs} epochs; best epoch {report.best_epoch}; "
           f"final train loss {last.train_loss:.6f}")
     print(f"checkpoint written to {cfg.out}")
 
@@ -281,12 +279,18 @@ def cmd_predict(cfg: argparse.Namespace) -> None:
         if key not in meta:
             raise CliError(f"checkpoint lacks pipeline metadata {key!r}; "
                            "was it written by lpat train?")
-    w = int(meta["window"])
     attrs = tuple(meta["attrs"].split(","))
-    scaling = data.ScalingParams(
-        v_min=[float(v) for v in meta["vmin"].split(",")],
-        v_max=[float(v) for v in meta["vmax"].split(",")],
-    )
+    try:
+        w = int(meta["window"])
+        v_min, v_max = ([float(v) for v in meta[k].split(",")] for k in ("vmin", "vmax"))
+        if w < 1:
+            raise CliError(f"{cfg.checkpoint}: window {w} is below 1")
+        if not len(v_min) == len(v_max) == len(attrs):
+            raise CliError(f"{cfg.checkpoint}: vmin and vmax need one value for each "
+                           f"of the {len(attrs)} attributes")
+        scaling = data.ScalingParams(v_min=v_min, v_max=v_max)
+    except ValueError as exc:
+        raise CliError(f"{cfg.checkpoint}: bad pipeline metadata ({exc})") from None
     rows = _read_window_csv(cfg.window, attrs, w)
     feats = data.minmax_apply(rows, scaling)
     label, probs = training.predict(net, feats)

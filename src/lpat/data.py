@@ -73,6 +73,8 @@ class ScalingParams:
     def __post_init__(self):
         self.v_min = np.asarray(self.v_min, dtype=float)
         self.v_max = np.asarray(self.v_max, dtype=float)
+        if not (np.isfinite(self.v_min).all() and np.isfinite(self.v_max).all()):
+            raise ValueError("v_min and v_max must be finite")
         if np.any(self.v_min > self.v_max):
             raise ValueError("v_min must not exceed v_max")
 
@@ -92,8 +94,8 @@ class DatasetSplit:
     valid: list
     test: list
     scaling: ScalingParams
-    attrs: tuple = DEFAULT_ATTRS
-    window: int = 20
+    attrs: tuple
+    window: int
 
 
 # --------------------------------------------------------------------- ingest
@@ -212,8 +214,7 @@ class CleanStats:
         return self.drives_removed_missing + self.drives_removed_short
 
 
-def clean_and_aggregate(timelines, window: int = 20
-                        ) -> tuple[list[DriveTimeline], CleanStats]:
+def clean_and_aggregate(timelines, window: int) -> tuple[list[DriveTimeline], CleanStats]:
     """Collapse duplicate (serial, date) rows to the last occurrence, then
     drop drives with any missing requested attribute or fewer than
     window + 15 days of records."""
@@ -418,8 +419,7 @@ def split_serials(healthy_serials, failing_serials, train_frac: float,
 
 
 def split_dataset(samples, serials: tuple[set[str], set[str], set[str]],
-                  scaling: ScalingParams, attrs=DEFAULT_ATTRS, window: int = 20
-                  ) -> DatasetSplit:
+                  scaling: ScalingParams, attrs, window: int) -> DatasetSplit:
     """Route windowed samples to the (train, valid, test) drive serial sets
     that ``split_serials`` chose.
 

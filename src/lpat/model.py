@@ -139,8 +139,8 @@ def param_shapes(dims: dict[str, int]) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_network(n_attrs: int, hidden1: int = 128, hidden2: int = 128,
-                 lstm_units: int = 200, classes: int = 3, seed: int = 0) -> Network:
+def init_network(n_attrs: int, hidden1: int, hidden2: int, lstm_units: int,
+                 classes: int = 3, seed: int = 0) -> Network:
     """Seed-deterministic init: uniform[-s, s] with s = sqrt(6/(in+out)) for
     weight matrices, zero biases except the LSTM forget gate bias at 1."""
     rng = np.random.default_rng(seed)
@@ -209,14 +209,8 @@ def _input_gates(p: LstmParams, x: np.ndarray) -> np.ndarray:
     batch, time-major (w, B, 4q), from one (w*B, d) GEMM; the gate math then
     overwrites them in place step by step."""
     B, w, d = x.shape
-    if w > 1:
-        x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
-        gates = (x_tm @ p.W.T).reshape(w, B, 4 * p.units)
-    else:
-        # numpy sends a stack of single rows through GEMV, which sums in
-        # another order than GEMM; keep that call so every window length
-        # gives the same bits as the per-sample product
-        gates = (x @ p.W.T).reshape(1, B, 4 * p.units)
+    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
+    gates = (x_tm @ p.W.T).reshape(w, B, 4 * p.units)
     gates += p.b
     return gates
 

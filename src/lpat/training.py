@@ -243,8 +243,9 @@ def train(dataset, train_config: TrainConfig,
     unlabeled = select_unlabeled(unlabeled_pool, cfg.unlabeled_frac, cfg.seed)
     if pcfg.mode == "supervised_at" and unlabeled:
         raise ValueError(
-            "supervised adversarial mode cannot train on unlabeled samples; "
-            "set unlabeled_frac=0 or switch to virtual_at")
+            "supervised adversarial mode (lpat train --mode at) cannot train on "
+            "unlabeled samples; set unlabeled_frac to 0 (--unlabeled-frac 0) or "
+            "switch to virtual_at (--mode vat or lpat)")
 
     X_l = _stack_features(labeled).astype(TRAIN_DTYPE)
     y_l = np.array([int(s.label) for s in labeled])

@@ -1,10 +1,11 @@
+import functools
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lpat import cache, cli, evaluate, training
+from lpat import cache, cli, data, evaluate, synthetic, training
 from lpat.checkpoint import checkpoint_load, checkpoint_save
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
@@ -189,6 +190,51 @@ def test_a_cache_that_is_not_ascii_is_named(tmp_path, capsys, command):
     assert code == 1 and not out
     assert f"lpat {command}: {cache_path}: not a text cache" in err
     assert not ckpt_path.exists()
+
+
+@pytest.fixture(scope="module")
+def fleet_cache(tmp_path_factory):
+    """An 18-drive synthetic cache with all four sections populated."""
+    root = tmp_path_factory.mktemp("fleet")
+    csv_path, cache_path = root / "fleet.csv", root / "fleet.cache"
+    assert cli.main(["synth", "--healthy", "12", "--failed", "6", "--attrs", "2",
+                     "--days", "45", "--seed", "0", "--out", str(csv_path)]) == 0
+    assert cli.main(["prep", "--input", str(csv_path), "--out", str(cache_path),
+                     "--attrs", "smart_5_raw,smart_9_raw", "--clusters", "1",
+                     "--keep-frac", "1.0", "--window", "10", "--seed", "0"]) == 0
+    return cache_path
+
+
+@pytest.mark.parametrize("section,label", [
+    ("train_labeled", "u"), ("valid", "u"), ("train_unlabeled", "2"),
+])
+def test_train_refuses_a_label_outside_its_section_naming_the_line(
+        fleet_cache, tmp_path, capsys, section, label):
+    lines = fleet_cache.read_text().splitlines()
+    head = [i for i, ln in enumerate(lines) if ln.startswith(f"section {section} ")][0] + 1
+    serial, end, _ = lines[head].split()[1:]
+    lines[head] = f"sample {serial} {end} {label}"
+    bad = tmp_path / "bad.cache"
+    bad.write_text("\n".join(lines) + "\n")
+    ckpt_path = tmp_path / "never.ckpt"
+    code, out, err = run(capsys, "train", "--data", str(bad), "--epochs", "1",
+                         "--out", str(ckpt_path))
+    assert code == 1 and not out
+    assert f"{bad}: bad label {label!r} at line {head + 1} in section {section}" in err
+    assert not ckpt_path.exists()
+
+
+def test_train_refuses_a_cache_window_below_one_naming_the_line(
+        fleet_cache, tmp_path, capsys):
+    lines = fleet_cache.read_text().splitlines()
+    assert lines[2] == "window 10"
+    lines[2] = "window 0"
+    bad = tmp_path / "bad.cache"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "train", "--data", str(bad), "--epochs", "1",
+                         "--out", str(tmp_path / "never.ckpt"))
+    assert code == 1 and not out
+    assert f"{bad}: window 0 at line 3 is below 1" in err
 
 
 def test_prep_with_no_attribute_fails_and_writes_no_cache(tmp_path, capsys):
@@ -393,6 +439,28 @@ def test_predict_non_finite_cell_errors_naming_the_line(fixture_pipeline, capsys
     assert f"{window_csv}:2: non-finite value" in err
 
 
+@pytest.mark.parametrize("edit,message", [
+    ({"vmin": "nan,0.0"}, "must be finite"),
+    ({"vmax": "inf,1e9"}, "must be finite"),
+    ({"vmin": "-inf,0.0"}, "must be finite"),
+    ({"vmin": "0.0", "vmax": "1e9"}, "one value for each of the 2 attributes"),
+    ({"window": "0"}, "window 0 is below 1"),
+])
+def test_predict_refuses_bad_scaling_meta_naming_the_checkpoint(
+        fixture_pipeline, capsys, tmp_path, edit, message):
+    _, _, ckpt_path, _ = fixture_pipeline
+    net, meta = checkpoint_load(ckpt_path)
+    bad = tmp_path / "bad.ckpt"
+    checkpoint_save(net, bad, meta={**meta, **edit})
+    rows = int(edit.get("window", meta["window"]))
+    window_csv = tmp_path / "w.csv"
+    window_csv.write_text("smart_5_raw,smart_187_raw\n" + "5,105\n" * rows)
+    code, out, err = run(capsys, "predict", "--checkpoint", str(bad),
+                         "--window", str(window_csv))
+    assert code == 1 and out == ""
+    assert f"lpat predict: {bad}: " in err and message in err
+
+
 def test_train_mode_at_with_unlabeled_pool_is_a_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "fleet.csv"
     cache_path = tmp_path / "fleet.cache"
@@ -411,6 +479,44 @@ def test_train_mode_at_with_unlabeled_pool_is_a_usage_error(tmp_path, capsys):
                        "--mode", "at", "--epochs", "1", "--unlabeled-frac", "0",
                        "--batch", "8", "--out", str(tmp_path / "x.ckpt"))
     assert code == 0, err
+
+
+# The CLI passes on only the flags a user set: with another library
+# default in place, an unset flag follows it.
+
+def test_train_follows_the_library_defaults(fixture_pipeline, capsys, tmp_path,
+                                           monkeypatch):
+    _, cache_path, _, _ = fixture_pipeline
+    monkeypatch.setattr(cli, "PerturbationConfig",
+                        functools.partial(cli.PerturbationConfig, xi=0.5))
+    monkeypatch.setattr(cli, "TrainConfig",
+                        functools.partial(cli.TrainConfig, learning_rate=0.002))
+    ckpt_path = tmp_path / "m.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(cache_path), "--epochs", "1",
+                       "--out", str(ckpt_path))
+    assert code == 0, err
+    _, meta = checkpoint_load(ckpt_path)
+    assert (meta["xi"], meta["lr"]) == ("0.5", "0.002")
+
+
+def test_synth_follows_the_library_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(synthetic, "SynthConfig",
+                        functools.partial(synthetic.SynthConfig, healthy=3))
+    code, out, err = run(capsys, "synth", "--failed", "1", "--days", "5",
+                         "--out", str(tmp_path / "f.csv"))
+    assert code == 0, err
+    assert out.startswith("wrote 4 drives (3 healthy, 1 failing)")
+
+
+def test_prep_follows_the_library_defaults(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "fleet.csv"
+    run(capsys, "synth", "--healthy", "8", "--failed", "3", "--days", "45",
+        "--out", str(csv_path))
+    monkeypatch.setattr(data, "prepare_dataset",
+                        functools.partial(data.prepare_dataset, clusters=1))
+    code, _, err = run(capsys, "prep", "--input", str(csv_path),
+                       "--out", str(tmp_path / "fleet.cache"))
+    assert code == 0, err  # 10 clusters cannot form from 8 healthy drives
 
 
 def test_config_file_equals_flags_and_flags_override(tmp_path, capsys):

@@ -150,6 +150,16 @@ def test_scaling_params_reject_inverted_bounds():
         data.ScalingParams(v_min=[1.0], v_max=[0.0])
 
 
+@pytest.mark.parametrize("v_min,v_max", [
+    ([0.0, np.nan], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, np.inf]),
+    ([-np.inf, 0.0], [1.0, 1.0]),
+])
+def test_scaling_params_reject_non_finite_extrema(v_min, v_max):
+    with pytest.raises(ValueError, match="must be finite"):
+        data.ScalingParams(v_min=v_min, v_max=v_max)
+
+
 def test_minmax_fit_rejects_a_range_beyond_float64():
     tl = make_timeline("A", 2, lambda i: [1.0, 1.7e308 if i else -1.7e308])
     with pytest.raises(ValueError, match="attribute 2 of 2 spans .* beyond the float64"):
@@ -295,7 +305,7 @@ def split_by_drive(samples, seed):
     healthy = {s.serial for s in samples} - failing
     serials = data.split_serials(healthy, failing, 0.8, 0.2, seed)
     scaling = data.ScalingParams(v_min=[0.0], v_max=[1.0])
-    return data.split_dataset(samples, serials, scaling)
+    return data.split_dataset(samples, serials, scaling, attrs=("smart_5_raw",), window=2)
 
 
 def test_split_counts_match_the_80_20_protocol():
