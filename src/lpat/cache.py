@@ -1,18 +1,19 @@
 """Line-oriented dataset cache.
 
-Layout: magic ``LPAT-DATA v2``, the attribute list, the window length, the
-scaling extrema, then the four sample sections (train_labeled,
-train_unlabeled, valid, test). Each sample is a header line
-``sample <serial> <end date> <label|u>`` followed by ``window`` rows of
-feature values.
+Layout: magic ``LPAT-DATA v3``, the attribute list, the window length, the
+scaling extrema, then the four sections (train_labeled, train_unlabeled,
+valid, test). A section is a line ``section <name> <samples> <rows>``, one
+line ``sample <serial> <end date> <label|u> <first row>`` per sample, then
+its rows; a sample's features are rows ``first .. first + window - 1``. A
+sample whose first ``window - 1`` rows equal the previous sample's last
+``window - 1``, bit for bit, adds only its last row, so overlapping windows
+store each day once.
 
-Every float (extrema and features) is written in the exact encoding of
-``hexrows``: the 16 hex digits of its big-endian bit pattern, one space
-between values. All feature rows of a file decode in one ``bytes.fromhex``.
-Labels outside {0, 1, 2, u}, ``u`` in train_labeled or valid, a label
-other than ``u`` in train_unlabeled, a window below 1 and non-finite values
-are rejected with the line they are on. ``LPAT-DATA v1`` caches, which held
-decimal values, are not read: rebuild them with ``lpat prep``.
+Every float is written in the ``hexrows`` encoding. A section's rows decode
+in one ``bytes.fromhex``, and its samples are read-only views of that block.
+Bad labels, counts, first rows and windows and non-finite values are
+rejected naming their line. v1 and v2 caches are not read: rebuild them
+with ``lpat prep``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 from .data import DatasetSplit, Sample, ScalingParams
 from .hexrows import HexRowError, decode_rows, encode_row
 
-MAGIC = "LPAT-DATA v2"
-MAGIC_V1 = "LPAT-DATA v1"
+MAGIC = "LPAT-DATA v3"
 SECTIONS = ("train_labeled", "train_unlabeled", "valid", "test")
 LABELS = {"0": 0, "1": 1, "2": 2, "u": None}
 SECTION_LABELS = {  # the labels each section may hold
@@ -49,13 +49,30 @@ def save_split(split: DatasetSplit, path) -> None:
         "vmin " + encode_row(split.scaling.v_min),
         "vmax " + encode_row(split.scaling.v_max),
     ]
+    shape = (split.window, len(split.attrs))
     for name in SECTIONS:
         samples = getattr(split, name)
-        lines.append(f"section {name} {len(samples)}")
+        heads, rows, prev = [], [], None
         for s in samples:
+            x = np.asarray(s.features, dtype=float)
             label = "u" if s.label is None else str(int(s.label))
-            lines.append(f"sample {s.serial} {s.window_end.isoformat()} {label}")
-            lines.extend(encode_row(row) for row in np.asarray(s.features, dtype=float))
+            if s.serial.split() != [s.serial] or x.shape != shape \
+                    or label not in SECTION_LABELS[name]:
+                raise ValueError(
+                    f"cannot cache sample {s.serial!r} ({s.window_end}) in {name}: "
+                    f"the serial must be non-empty without whitespace, the features "
+                    f"{shape[0]} x {shape[1]} and the label one of "
+                    f"{', '.join(SECTION_LABELS[name])}")
+            if prev is not None and x[:-1].tobytes() == prev[1:].tobytes():
+                rows.append(x[-1])
+            else:
+                rows.extend(x)
+            prev = x
+            heads.append(f"sample {s.serial} {s.window_end.isoformat()} {label} "
+                         f"{len(rows) - len(x)}")
+        lines.append(f"section {name} {len(samples)} {len(rows)}")
+        lines.extend(heads)
+        lines.extend(encode_row(row) for row in rows)
     lines.append("end")
     # encode before opening: a value that cannot be written leaves the old file
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
@@ -66,12 +83,10 @@ def load_split(path) -> DatasetSplit:
         lines = Path(path).read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise CacheFormatError(f"{path}: not a text cache ({exc})") from None
-    if lines and lines[0] == MAGIC_V1:
-        raise CacheFormatError(
-            f"{path}: {MAGIC_V1} caches are no longer read; rebuild this one "
-            f"from its CSV with `lpat prep`")
     if not lines or lines[0] != MAGIC:
-        raise CacheFormatError(f"{path}: missing magic line {MAGIC!r}")
+        raise CacheFormatError(
+            f"{path}: missing magic line {MAGIC!r}; caches of other versions "
+            f"are not read: rebuild this one from its CSV with `lpat prep`")
 
     def need(i, prefix):
         if i >= len(lines) or not lines[i].startswith(prefix):
@@ -85,65 +100,61 @@ def load_split(path) -> DatasetSplit:
         raise CacheFormatError(f"{path}: bad header value ({exc})") from None
     if window < 1:
         raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
-    v_min = _values(path, [need(3, "vmin ")], len(attrs), lambda r: 3)[0]
-    v_max = _values(path, [need(4, "vmax ")], len(attrs), lambda r: 4)[0]
+    v_min = _values(path, [need(3, "vmin ")], len(attrs), 3)[0]
+    v_max = _values(path, [need(4, "vmax ")], len(attrs), 4)[0]
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
                          scaling=ScalingParams(v_min, v_max),
                          attrs=attrs, window=window)
 
-    # headers are parsed in order; the feature rows of every sample are
-    # collected and decoded as one block afterwards
-    heads, starts, rows = [], [], []
     i = 5
     for name in SECTIONS:
-        head = need(i, f"section {name} ")
-        try:
-            count = int(head)
-        except ValueError:
-            raise CacheFormatError(f"{path}: bad section count at line {i + 1}") from None
+        head = need(i, f"section {name} ").split(" ")
+        if len(head) != 2 or not all(t.isdigit() for t in head):
+            raise CacheFormatError(f"{path}: bad section counts at line {i + 1}")
+        count, n_rows = map(int, head)
         i += 1
-        bucket = getattr(split, name)
+        heads = []
         for _ in range(count):
             parts = need(i, "sample ").split()
-            if len(parts) != 3:
+            if len(parts) != 4:
                 raise CacheFormatError(f"{path}: malformed sample header at line {i + 1}")
-            serial, end_str, label_str = parts
+            serial, end_str, label_str, first_str = parts
             try:
                 end = date.fromisoformat(end_str)
             except ValueError:
                 raise CacheFormatError(f"{path}: bad date at line {i + 1}") from None
-            allowed = SECTION_LABELS[name]
-            if label_str not in allowed:
+            if label_str not in SECTION_LABELS[name]:
                 raise CacheFormatError(
                     f"{path}: bad label {label_str!r} at line {i + 1} in section "
-                    f"{name}, expected {', '.join(allowed)}")
+                    f"{name}, expected {', '.join(SECTION_LABELS[name])}")
+            if not first_str.isdigit() or int(first_str) + window > n_rows:
+                raise CacheFormatError(f"{path}: first row {first_str!r} at line {i + 1} "
+                                       f"leaves fewer than {window} rows")
+            heads.append((serial, end, LABELS[label_str], int(first_str)))
             i += 1
-            if i + window > len(lines):
-                raise CacheFormatError(f"{path}: sample block cut short at line {i + 1}")
-            heads.append((bucket, serial, end, LABELS[label_str]))
-            starts.append(i)
-            rows.extend(lines[i:i + window])
-            i += window
+        if i + n_rows > len(lines):
+            raise CacheFormatError(f"{path}: section {name} cut short at line {i + 1}")
+        # neighbouring windows share rows, so no sample may write to them
+        block = _values(path, lines[i:i + n_rows], len(attrs), i)
+        block.flags.writeable = False
+        i += n_rows
+        getattr(split, name).extend(
+            Sample(features=block[first:first + window], label=label, serial=serial,
+                   window_end=end) for serial, end, label, first in heads)
     if i >= len(lines) or lines[i] != "end":
         raise CacheFormatError(f"{path}: missing end marker")
-
-    feats = _values(path, rows, len(attrs), lambda r: starts[r // window] + r % window)
-    feats = feats.reshape(len(heads), window, len(attrs))
-    for (bucket, serial, end, label), x in zip(heads, feats):
-        bucket.append(Sample(features=x, label=label, serial=serial, window_end=end))
     return split
 
 
-def _values(path, rows: list[str], cols: int, at) -> np.ndarray:
-    """Decode ``rows`` into a (len(rows), cols) array of finite values;
-    ``at`` maps a row index to the row's 0-based line in the file, which
-    errors name."""
+def _values(path, rows: list[str], cols: int, line: int) -> np.ndarray:
+    """``rows`` decoded into a (len(rows), cols) array of finite values; errors
+    name file lines counting from ``line``, the first row's 0-based line."""
     try:
         values = decode_rows(rows, cols)
     except HexRowError as exc:
-        raise CacheFormatError(f"{path}: line {at(exc.row) + 1} holds {exc}") from None
+        raise CacheFormatError(f"{path}: line {line + exc.row + 1} holds {exc}") from None
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         r = int(np.argmin(finite))
-        raise CacheFormatError(f"{path}: line {at(r) + 1} holds a non-finite value")
+        raise CacheFormatError(f"{path}: line {line + r + 1} holds a non-finite value")
     return values

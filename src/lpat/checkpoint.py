@@ -140,6 +140,8 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
             parts = line.split(" ", 2)
             if len(parts) < 3:
                 raise CheckpointFormatError(f"{path}:{i + 1}: malformed meta line")
+            if parts[1] in meta:
+                raise CheckpointFormatError(f"{path}:{i + 1}: meta key {parts[1]!r} given twice")
             meta[parts[1]] = parts[2]
             i += 1
             continue
@@ -153,6 +155,8 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
                 f"{path}:{i + 1}: malformed tensor header {line!r}") from None
         if name not in shapes:
             raise CheckpointFormatError(f"{path}:{i + 1}: unknown tensor {name!r}")
+        if name in tensors:
+            raise CheckpointFormatError(f"{path}:{i + 1}: tensor {name!r} given twice")
         if shape != shapes[name]:
             raise CheckpointFormatError(
                 f"{path}:{i + 1}: tensor {name} has shape {shape}, arch implies {shapes[name]}")

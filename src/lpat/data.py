@@ -100,7 +100,7 @@ class DatasetSplit:
 
 # --------------------------------------------------------------------- ingest
 
-def ingest_csv(path, attr_list: Sequence[str] = DEFAULT_ATTRS) -> list[DriveTimeline]:
+def ingest_csv(path, attr_list: Sequence[str]) -> list[DriveTimeline]:
     """One date-sorted DriveTimeline per serial in a Backblaze-schema CSV.
 
     Missing cells stay None until cleaning. Rows dated after a drive's
@@ -279,7 +279,7 @@ def scale_timeline(tl: DriveTimeline, params: ScalingParams) -> np.ndarray:
 
 # -------------------------------------------------------------------- k-means
 
-def lloyd_kmeans(points: np.ndarray, k: int, seed: int = 0):
+def lloyd_kmeans(points: np.ndarray, k: int, seed: int):
     """Deterministic Lloyd iterations with farthest-point seeding.
 
     Returns (labels, centroids, objective history); the objective (sum of
@@ -322,7 +322,7 @@ def drive_summaries(timelines, params: ScalingParams) -> np.ndarray:
 
 
 def kmeans_representative_subset(healthy, k: int, keep_frac: float,
-                                 seed: int = 0) -> list[DriveTimeline]:
+                                 seed: int) -> list[DriveTimeline]:
     """Cluster healthy drives (on per-drive summary vectors, scaled by a
     min-max fit over this pool) and keep, per cluster, the ceil(keep_frac *
     size) drives nearest the centroid. Distance ties resolve by serial."""
@@ -378,6 +378,7 @@ def window_and_label(timelines, window: int, scaling: ScalingParams
     unlabeled: list[Sample] = []
     for tl in timelines:
         scaled = scale_timeline(tl, scaling)
+        scaled.flags.writeable = False  # windows overlap: a write would reach neighbours
         for i in _window_starts(tl, window):
             end_rec = tl.records[i + window - 1]
             feats = scaled[i:i + window]

@@ -212,8 +212,8 @@ def test_train_refuses_a_label_outside_its_section_naming_the_line(
         fleet_cache, tmp_path, capsys, section, label):
     lines = fleet_cache.read_text().splitlines()
     head = [i for i, ln in enumerate(lines) if ln.startswith(f"section {section} ")][0] + 1
-    serial, end, _ = lines[head].split()[1:]
-    lines[head] = f"sample {serial} {end} {label}"
+    serial, end, _, first = lines[head].split()[1:]
+    lines[head] = f"sample {serial} {end} {label} {first}"
     bad = tmp_path / "bad.cache"
     bad.write_text("\n".join(lines) + "\n")
     ckpt_path = tmp_path / "never.ckpt"

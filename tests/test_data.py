@@ -1,3 +1,4 @@
+import re
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -490,7 +491,7 @@ def test_cache_v2_round_trip_is_bit_exact_for_special_values(tmp_path):
     path = tmp_path / "s.cache"
     cache.save_split(split, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "LPAT-DATA v2"
+    assert lines[0] == "LPAT-DATA v3"
     assert lines[7] == "8000000000000000 0000000000000001"
     back = cache.load_split(path)
     assert back.scaling.v_min.tobytes() == split.scaling.v_min.tobytes()
@@ -506,12 +507,109 @@ def test_cache_v1_is_refused_with_a_pointer_to_prep(tmp_path):
     p.write_text("LPAT-DATA v1\nattrs a\nwindow 1\nvmin 0.0\nvmax 1.0\n")
     with pytest.raises(cache.CacheFormatError, match="lpat prep"):
         cache.load_split(p)
+    # a v2 cache: every window stored in full under a three-field sample line
+    p.write_text("LPAT-DATA v2\nattrs a\nwindow 1\nvmin 0000000000000000\n"
+                 "vmax 3ff0000000000000\nsection train_labeled 1\n"
+                 "sample S1 2016-03-01 2\n3fe0000000000000\nsection train_unlabeled 0\n"
+                 "section valid 0\nsection test 0\nend\n")
+    with pytest.raises(cache.CacheFormatError, match="lpat prep"):
+        cache.load_split(p)
+
+
+def _prepped_split():
+    """An 18-drive synthetic fleet with all four sections populated."""
+    cfg = synthetic.SynthConfig(healthy=12, failed=6, n_attrs=2, days=45, seed=0)
+    split, _ = data.prepare_dataset(synthetic.generate_synthetic(cfg),
+                                    attrs=data.DEFAULT_ATTRS[:2], clusters=1,
+                                    keep_frac=1.0, window=10, seed=0)
+    assert all(getattr(split, part) for part in cache.SECTIONS)
+    return split
+
+
+def test_cache_stores_each_day_of_a_section_once(tmp_path):
+    split = _prepped_split()
+    path = tmp_path / "data.cache"
+    cache.save_split(split, path)
+    heads = [ln.split() for ln in path.read_text().splitlines()
+             if ln.startswith("section ")]
+    assert [h[1] for h in heads] == list(cache.SECTIONS)
+    for _, name, samples, rows in heads:
+        windows = getattr(split, name)
+        days = {(s.serial, s.window_end - timedelta(days=k))
+                for s in windows for k in range(split.window)}
+        assert int(samples) == len(windows)
+        assert int(rows) == len(days) < len(windows) * split.window
+
+
+def test_prepared_and_loaded_windows_are_read_only(tmp_path):
+    split = _prepped_split()
+    path = tmp_path / "data.cache"
+    cache.save_split(split, path)
+    for windows in (split.train_labeled, cache.load_split(path).train_labeled):
+        assert np.shares_memory(windows[0].features, windows[1].features)
+        before = [s.features.copy() for s in windows[:3]]
+        with pytest.raises(ValueError, match="read-only"):
+            windows[1].features[-1, 0] = 0.5
+        assert all(np.array_equal(b, s.features) for b, s in zip(before, windows))
+
+
+@pytest.mark.parametrize("part, field, value", [
+    ("test", "serial", ""),
+    ("test", "serial", "S 2"),
+    ("test", "serial", "S2\n"),
+    ("train_labeled", "label", None),
+    ("test", "features", np.zeros((2, 2))),
+], ids=["empty-serial", "serial-with-space", "serial-with-newline", "u-in-train_labeled",
+        "two-of-three-rows"])
+def test_cache_save_refuses_a_sample_it_could_not_load(tmp_path, part, field, value):
+    path = tmp_path / "data.cache"
+    cache.save_split(_special_split(), path)
+    before = path.read_bytes()
+    split = _special_split()
+    sample = getattr(split, part)[0]
+    setattr(sample, field, value)
+    with pytest.raises(ValueError, match=re.escape(f"cannot cache sample {sample.serial!r}")):
+        cache.save_split(split, path)
+    assert path.read_bytes() == before
+
+
+def test_cache_rejects_a_section_cut_short_naming_the_line(tmp_path):
+    path = tmp_path / "s.cache"
+    cache.save_split(_special_split(), path)
+    lines = path.read_text().splitlines()
+    assert lines[12:14] == ["section test 1 3", "sample S2 2016-03-02 u 0"]
+    path.write_text("\n".join(lines[:15] + ["end"]) + "\n")
+    with pytest.raises(cache.CacheFormatError, match="section test cut short at line 15"):
+        cache.load_split(path)
+
+
+# line 6 opens section train_labeled (1 sample, 3 rows), line 7 is the
+# header of its sample S1 (first row 0)
+@pytest.mark.parametrize("lineno, text, match", [
+    (6, "section train_labeled -1 3", "bad section counts at line 6"),
+    (6, "section train_labeled 1 x", "bad section counts at line 6"),
+    (6, "section train_labeled 1 2.5", "bad section counts at line 6"),
+    (6, "section train_labeled 1", "bad section counts at line 6"),
+    (7, "sample S1 2016-03-01 2 -1", "first row '-1' at line 7"),
+    (7, "sample S1 2016-03-01 2 x", "first row 'x' at line 7"),
+    (7, "sample S1 2016-03-01 2 1", "first row '1' at line 7 leaves fewer than 3 rows"),
+    (7, "sample S1 2016-03-01 2", "malformed sample header at line 7"),
+], ids=["negative-count", "non-integer-rows", "fractional-rows", "no-row-count",
+        "negative-first-row", "non-integer-first-row", "first-row-too-late",
+        "no-first-row"])
+def test_cache_rejects_bad_counts_and_first_rows_naming_the_line(
+        tmp_path, lineno, text, match):
+    path = tmp_path / "s.cache"
+    cache.save_split(_special_split(), path)
+    _edit_line(path, lineno, text)
+    with pytest.raises(cache.CacheFormatError, match=match):
+        cache.load_split(path)
 
 
 # line 7 is the header of sample S1, lines 8-10 its feature rows
 @pytest.mark.parametrize("lineno, text, match", [
-    (7, "sample S1 2016-03-01 7", "bad label '7' at line 7"),
-    (7, "sample S1 2016-03-01 -1", "bad label '-1' at line 7"),
+    (7, "sample S1 2016-03-01 7 0", "bad label '7' at line 7"),
+    (7, "sample S1 2016-03-01 -1 0", "bad label '-1' at line 7"),
     (9, "7ff8000000000000 0000000000000000", "line 9 holds a non-finite value"),
     (9, "0000000000000000 fff0000000000000", "line 9 holds a non-finite value"),
     (4, "vmin fff0000000000000 0000000000000000", "line 4 holds a non-finite value"),

@@ -593,3 +593,19 @@ def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ckpt.CheckpointFormatError, match=re.escape(f"{path}:{at + 1}: ")):
         ckpt.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("entry, size, repeat", [
+    ("meta window ", 1, ["meta window 5"]),
+    ("tensor dense1.b ", 2, None),
+], ids=["meta", "tensor"])
+def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, repeat):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path, meta={"window": "20"})
+    lines = path.read_text().splitlines()
+    at = next(i for i, text in enumerate(lines) if text.startswith(entry)) + size
+    lines[at:at] = repeat or lines[at - size:at]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}:{at + 1}: ") + ".* given twice"):
+        ckpt.checkpoint_load(path)
