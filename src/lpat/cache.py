@@ -42,6 +42,10 @@ class CacheFormatError(ValueError):
 
 
 def save_split(split: DatasetSplit, path) -> None:
+    for a in split.attrs:
+        if "," in a or a.splitlines() != [a]:
+            raise ValueError(f"cannot cache attribute {a!r}: a name must be non-empty "
+                             f"without a comma or line break")
     lines = [
         MAGIC,
         "attrs " + ",".join(split.attrs),

@@ -17,8 +17,10 @@ injection-point activation and every step's LSTM internals; backward returns
 exact reverse-mode gradients (full backpropagation through time) for all
 parameters and for the activation at every injection point. The inference
 pass (``predict_proba``) keeps neither: its LSTM overwrites one (B, q) state
-block per step. Both passes share the LSTM input GEMM and gate math, so they
-give the same bits. Arithmetic runs on numpy and BLAS alone: the gate
+block per step. It never perturbs, so it folds the two linear dense layers
+into the LSTM input weights and runs the LSTM on the raw attributes; it
+shares the training pass's LSTM code and gate math, and agrees with it to
+rounding, not bit for bit. Arithmetic runs on numpy and BLAS alone: the gate
 sigmoid is ``1 / (1 + exp(-a))``, computed in place and a few ulp from the
 exact logistic, and each dense weight gradient is one GEMM over the B*w rows
 of a batch.
@@ -356,25 +358,41 @@ def resume_forward(net: Network, base: Activations, point: int,
     return _forward_from(net, dict(base.xhat), point, {point: r})
 
 
-def _infer(net: Network, X) -> np.ndarray:
-    """``forward_batch(net, X).probs`` without its cache: the same layer
-    calls on the same operands, through the history-free LSTM pass."""
-    x2 = _dense(net.dense2, _dense(net.dense1, _as_input(net, X)))
-    h = _lstm_forward(net.lstm, x2, history=False)[3][:, -1]
+def _folded_lstm(net: Network) -> LstmParams:
+    """The LSTM with dense-1 and dense-2 folded into its input weights.
+
+    Both dense layers are linear, so without perturbations the gate
+    pre-activations ``dense2(dense1(x)) W^T + b`` are ``x W_eff^T + b_eff``
+    with ``W_eff = W (W2 W1)`` (4q, n) and ``b_eff = W (W2 b1 + b2) + b``.
+    ``W2 W1`` is formed first, so the fold costs about 4q*h2*n + h2*h1*n
+    multiply-adds. The result is in the network's dtype."""
+    d1, d2, p = net.dense1, net.dense2, net.lstm
+    return LstmParams(W=p.W @ (d2.W @ d1.W), U=p.U, b=p.W @ (d2.W @ d1.b + d2.b) + p.b)
+
+
+def _infer(net: Network, lstm: LstmParams, X) -> np.ndarray:
+    """Class probabilities of a (B, w, n) batch: the history-free pass of
+    ``lstm``, ``_folded_lstm(net)``, on the raw input, then dense-3."""
+    h = _lstm_forward(lstm, _as_input(net, X), history=False)[3][:, -1]
     return softmax(_dense(net.dense3, h))
 
 
 def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
-    """Class probabilities of a (B, w, n) batch, bit for bit those of
-    ``forward_batch``, in chunks of ``PREDICT_CHUNK`` windows; no
-    perturbation is ever applied. An empty batch gives a (0, classes) result.
+    """Class probabilities of a (B, w, n) batch, in chunks of
+    ``PREDICT_CHUNK`` windows; no perturbation is ever applied. An empty
+    batch gives a (0, classes) result.
 
-    This is the inference pass: it keeps no activations and no ForwardCache,
-    and its LSTM keeps one (B, q) block each of ``c``, ``tanh_c`` and ``h``
-    instead of one per step. Only the chunk's input pre-activations (w, B, 4q)
-    span the window.
+    This is the inference pass. It runs the LSTM of ``_folded_lstm(net)``,
+    formed once per call, on the raw attributes, so no dense-1 or dense-2
+    activation is built. Its probabilities are bit for bit ``forward_batch``
+    on the network with identity dense-1 and dense-2 and that LSTM, and
+    within rounding (about 2e-16 at default widths) of ``forward_batch`` on
+    ``net``. It keeps no activations and no ForwardCache, and its LSTM keeps
+    one (B, q) block each of ``c``, ``tanh_c`` and ``h`` instead of one per
+    step. Only the chunk's input pre-activations (w, B, 4q) span the window.
     """
-    return np.concatenate([_infer(net, X[lo:lo + PREDICT_CHUNK])
+    lstm = _folded_lstm(net)
+    return np.concatenate([_infer(net, lstm, X[lo:lo + PREDICT_CHUNK])
                            for lo in range(0, max(len(X), 1), PREDICT_CHUNK)])
 
 

@@ -573,6 +573,19 @@ def test_cache_save_refuses_a_sample_it_could_not_load(tmp_path, part, field, va
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\r"],
+                         ids=["empty", "comma", "newline", "carriage-return"])
+def test_cache_save_refuses_an_attribute_name_it_could_not_load(tmp_path, name):
+    path = tmp_path / "data.cache"
+    cache.save_split(_special_split(), path)
+    before = path.read_bytes()
+    split = _special_split()
+    split.attrs = (name, split.attrs[1])
+    with pytest.raises(ValueError, match=re.escape(f"cannot cache attribute {name!r}")):
+        cache.save_split(split, path)
+    assert path.read_bytes() == before
+
+
 def test_cache_rejects_a_section_cut_short_naming_the_line(tmp_path):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)

@@ -171,16 +171,47 @@ def test_forward_rejects_bad_input_and_perturbation_shapes():
 WIDTHS = {"tiny": tuple(TINY.values()), "default": (8, 128, 128, 200, 3)}
 
 
+def folded_network(net):
+    """``net`` with identity dense-1 and dense-2 (zero bias, so ``x @ I + 0``
+    is ``x`` exactly) and the LSTM that ``predict_proba`` folds them into."""
+    eye = np.eye(net.dense1.in_dim, dtype=net.dense1.W.dtype)
+    zero = np.zeros(net.dense1.in_dim, dtype=net.dense1.W.dtype)
+    return model.Network(model.DenseParams(eye, zero), model.DenseParams(eye, zero),
+                         model._folded_lstm(net), net.dense3)
+
+
+def with_biases(net, seed):
+    """``net`` with every bias drawn from N(0, 0.5^2): at init the dense
+    biases are zero, and the fold must carry them (``W (W2 b1 + b2)``)."""
+    rng = np.random.default_rng(seed)
+    for b in (net.dense1.b, net.dense2.b, net.lstm.b, net.dense3.b):
+        b += 0.5 * rng.normal(size=b.shape)
+    return net
+
+
+def assert_folded_inference(net, X, probs):
+    """(a) ``probs`` are bit for bit ``forward_batch`` on the folded network;
+    (b) they agree with ``forward_batch`` on ``net`` within 1e-12, with the
+    same argmax."""
+    assert np.array_equal(probs, model.forward_batch(folded_network(net), X).probs)
+    unfolded = model.forward_batch(net, X).probs
+    np.testing.assert_allclose(probs, unfolded, rtol=0, atol=1e-12)
+    assert np.array_equal(probs.argmax(axis=1), unfolded.argmax(axis=1))
+
+
 @pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS.keys())
 def test_predict_proba_is_the_forward_batch_output_bit_for_bit(widths):
-    net = model.init_network(*widths, seed=4)
+    """... of the network with dense-1 and dense-2 folded into the LSTM."""
+    net = with_biases(model.init_network(*widths, seed=4), 4)
     n = widths[0]
     rng = np.random.default_rng(4)
     for B in (1, 2, 7, 310, 512):
         for w in (1, 3, 20):
             X = rng.uniform(size=(B, w, n))
-            assert np.array_equal(model.predict_proba(net, X),
-                                  model.forward_batch(net, X).probs), (B, w)
+            try:
+                assert_folded_inference(net, X, model.predict_proba(net, X))
+            except AssertionError as exc:
+                raise AssertionError(f"B={B}, w={w}") from exc
     empty = model.predict_proba(net, np.zeros((0, 3, n)))
     assert empty.shape == (0, 3)
     with pytest.raises(model.ShapeError):
@@ -190,13 +221,39 @@ def test_predict_proba_is_the_forward_batch_output_bit_for_bit(widths):
 
 
 def test_predict_proba_runs_each_chunk_as_forward_batch_would():
-    net = tiny_net(5)
+    net = with_biases(tiny_net(5), 5)
     X = np.random.default_rng(5).normal(size=(1100, 4, 2))
     probs = model.predict_proba(net, X)
     assert probs.shape == (1100, 3)
     for lo in range(0, 1100, model.PREDICT_CHUNK):
         chunk = slice(lo, lo + model.PREDICT_CHUNK)
-        assert np.array_equal(probs[chunk], model.forward_batch(net, X[chunk]).probs)
+        assert_folded_inference(net, X[chunk], probs[chunk])
+
+
+def test_inference_folds_once_and_builds_no_per_step_dense_activations(monkeypatch):
+    """Over three chunks the fold runs once, and ``_dense`` only ever sees
+    the (B, q) final hidden states (dense-3); a float32 fold stays float32."""
+    net = model.init_network(*WIDTHS["default"], seed=6)
+    X = np.random.default_rng(6).uniform(size=(1100, 3, 8))
+    dense_inputs, folds = [], []
+    real_dense, real_fold = model._dense, model._folded_lstm
+
+    def dense(p, x):
+        dense_inputs.append(x.shape)
+        return real_dense(p, x)
+
+    def fold(n):
+        folds.append(n)
+        return real_fold(n)
+
+    monkeypatch.setattr(model, "_dense", dense)
+    monkeypatch.setattr(model, "_folded_lstm", fold)
+    model.predict_proba(net, X)
+    assert len(folds) == 1 and folds[0] is net
+    assert dense_inputs == [(512, 200), (512, 200), (76, 200)]
+    monkeypatch.undo()
+    folded = model._folded_lstm(net.astype(np.float32))
+    assert {a.dtype for a in (folded.W, folded.U, folded.b)} == {np.dtype(np.float32)}
 
 
 def test_predict_proba_keeps_no_per_step_lstm_state(monkeypatch):
@@ -429,8 +486,9 @@ def test_a_float64_network_runs_float32_operands_in_float64():
     ref_grads, ref_act = model.backward_batch(net, ref, dl32.astype(float))
     for got, want in zip(pass_arrays(cache, grads, act), pass_arrays(ref, ref_grads, ref_act)):
         assert got.dtype == np.float64 and np.array_equal(got, want)
-    assert np.array_equal(model.predict_proba(net, X32),
-                          model.forward_batch(net, X32.astype(float)).probs)
+    probs = model.predict_proba(net, X32)
+    assert probs.dtype == np.float64
+    assert_folded_inference(net, X32.astype(float), probs)
 
 
 # ----------------------------------------------------------------- checkpoint
