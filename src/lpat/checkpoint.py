@@ -8,9 +8,9 @@ closed by an ``end`` line.
 v2 writes each float64 as the 16 hex digits of its big-endian bit pattern,
 values separated by one space, so a row of ``cols`` values is exactly
 ``17 * cols - 1`` characters and a whole tensor decodes in one
-``bytes.fromhex``. v1 files, whose rows hold ``float.hex`` literals, keep
-loading; only the v2 encoding is written. Both round-trip bit-exactly, and
-a tensor holding a non-finite value is rejected on load.
+``bytes.fromhex``. It round-trips bit-exactly, and a tensor holding a
+non-finite value is rejected on load. v1 files, whose rows hold
+``float.hex`` literals, are no longer read: retrain to get a v2 file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .hexrows import HexRowError, decode_rows, encode_row
 from .model import Network, param_shapes
 
 MAGIC = "LPAT-CKPT v2"
-MAGIC_V1 = "LPAT-CKPT v1"
 ARCH_KEYS = ("n_attrs", "hidden1", "hidden2", "lstm_units", "classes")
 
 
@@ -66,28 +65,16 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _decode_block(rows: list[str], cols: int, v1: bool, where: str) -> np.ndarray:
-    """(len(rows), cols) values of one tensor in the v1 or the v2 encoding."""
-    if not v1:
-        try:
-            return decode_rows(rows, cols)
-        except HexRowError as exc:
-            if exc.values != cols:
-                raise CheckpointTruncatedError(
-                    f"{where} row {exc.row} has {exc.values} values, expected {cols}") from None
-            raise CheckpointFormatError(
-                f"{where} row {exc.row} holds a non-hex-float value") from None
-    block = np.empty((len(rows), cols))
-    for r, line in enumerate(rows):
-        vals = line.split()
-        if len(vals) != cols:
+def _decode_block(rows: list[str], cols: int, where: str) -> np.ndarray:
+    """(len(rows), cols) values of one tensor."""
+    try:
+        return decode_rows(rows, cols)
+    except HexRowError as exc:
+        if exc.values != cols:
             raise CheckpointTruncatedError(
-                f"{where} row {r} has {len(vals)} values, expected {cols}")
-        try:
-            block[r] = [float.fromhex(v) for v in vals]
-        except ValueError:
-            raise CheckpointFormatError(f"{where} row {r} holds a non-hex-float value") from None
-    return block
+                f"{where} row {exc.row} has {exc.values} values, expected {cols}") from None
+        raise CheckpointFormatError(
+            f"{where} row {exc.row} holds a non-hex-float value") from None
 
 
 def checkpoint_load(path, expect: Optional[dict[str, int]] = None
@@ -102,9 +89,10 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"{path}: not a text checkpoint ({exc})") from None
     lines = text.splitlines()
-    if not lines or lines[0] not in (MAGIC, MAGIC_V1):
-        raise CheckpointFormatError(f"{path}: missing magic line {MAGIC!r}")
-    v1 = lines[0] == MAGIC_V1
+    if not lines or lines[0] != MAGIC:
+        raise CheckpointFormatError(
+            f"{path}: missing magic line {MAGIC!r} "
+            f"(v1 checkpoints are no longer read: retrain with `lpat train`)")
     if len(lines) < 2 or not lines[1].startswith("arch "):
         raise CheckpointTruncatedError(f"{path}: no architecture line")
     arch_tokens = lines[1].split()[1:]
@@ -165,7 +153,7 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
         block_lines = lines[i + 1:i + 1 + rows]
         if len(block_lines) < rows:
             raise CheckpointTruncatedError(f"{path}: tensor {name} cut short")
-        block = _decode_block(block_lines, cols, v1, f"{path}: tensor {name}").reshape(shape)
+        block = _decode_block(block_lines, cols, f"{path}: tensor {name}").reshape(shape)
         if not np.isfinite(block).all():
             raise CheckpointFormatError(f"{path}: tensor {name} holds a non-finite value")
         tensors[name] = block

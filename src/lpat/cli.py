@@ -219,6 +219,9 @@ def _pipeline_meta(split) -> dict[str, str]:
 
 def cmd_train(cfg: argparse.Namespace) -> None:
     split = cache.load_split(cfg.data)
+    # hashed before training, so a cache rewritten during a long run is not
+    # recorded as the data that trained this checkpoint
+    data_sha256 = hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest()
     tcfg, pcfg = _train_configs(cfg)
     net, report = training.train(split, tcfg, pcfg)
     meta = {
@@ -235,7 +238,7 @@ def cmd_train(cfg: argparse.Namespace) -> None:
         "seed": str(tcfg.seed),
         "unlabeled_frac": repr(tcfg.unlabeled_frac),
         "best_epoch": str(report.best_epoch),
-        "data_sha256": hashlib.sha256(Path(cfg.data).read_bytes()).hexdigest(),
+        "data_sha256": data_sha256,
     }
     checkpoint_save(net, cfg.out, meta=meta)
     if cfg.report:

@@ -1,6 +1,7 @@
 """Layerwise adversarial perturbations.
 
-Two constructions, sharing one unperturbed forward pass per batch:
+Two constructions, both built from the batch's one unperturbed forward
+pass, which the caller has already run and passes in:
 
 * supervised: r* = -eps * g / ||g||2 with g the activation gradient of the
   log-likelihood at the injection point (needs labels);
@@ -15,10 +16,11 @@ Perturbations are per sample; norms are L2 over the flattened tensor.
 Scale: ``epsilon`` and ``xi`` are absolute L2 norms per window (per sample),
 in the units of the injection point they act on - min-max scaled SMART
 values at the input, raw activations at points 1-4. One ``epsilon`` thus
-means very different relative sizes at different points. The virtual
-construction approximates the power-iteration step only while ``xi`` is small
-next to the activation it nudges and next to ``epsilon``; at larger ``xi`` the
-probe measures a finite jump, not the local curvature.
+means very different relative sizes at different points, and every
+selected point uses it. The virtual construction approximates the
+power-iteration step only while ``xi`` is small next to the activation it
+nudges and next to ``epsilon``; at larger ``xi`` the probe measures a finite
+jump, not the local curvature.
 
 Precision: noise, ``unit_rows`` and ``scale_rows`` are float64; the nudge
 is added, and each returned tensor is given, in the dtype of the activation
@@ -59,7 +61,6 @@ class PerturbationConfig:
     mode: str = "none"
     layers: str = "all"
     epsilon: float = 20.0
-    epsilon_per_point: Optional[dict[int, float]] = None
     xi: float = 10.0
     lam: float = 1.0
 
@@ -71,12 +72,6 @@ class PerturbationConfig:
                 f"layers must be one of {tuple(LAYER_SELECTIONS)}, got {self.layers!r}")
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon!r}")
-        for m, e in (self.epsilon_per_point or {}).items():
-            if m not in model.ALL_POINTS:
-                raise ValueError(f"unknown injection point {m}")
-            if not math.isfinite(e) or e < 0:
-                raise ValueError(
-                    f"epsilon_per_point[{m}] must be finite and non-negative, got {e!r}")
         if not math.isfinite(self.xi) or self.xi <= 0:
             raise ValueError(f"xi must be finite and positive, got {self.xi!r}")
         if not math.isfinite(self.lam) or self.lam < 0:
@@ -87,11 +82,6 @@ class PerturbationConfig:
         if self.mode == "none":
             return ()
         return LAYER_SELECTIONS[self.layers]
-
-    def eps_for(self, point: int) -> float:
-        if self.epsilon_per_point and point in self.epsilon_per_point:
-            return self.epsilon_per_point[point]
-        return self.epsilon
 
 
 def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -130,42 +120,43 @@ def _noise_rng(seed: int, epoch: int, batch_index: int, point: int):
         np.random.SeedSequence([int(seed), int(epoch), int(batch_index), int(point)]))
 
 
-def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
-                                 labels: Optional[Sequence] = None,
-                                 config: Optional[PerturbationConfig] = None, *,
+def compute_perturbation_tensors(net: model.Network, base: model.Activations,
+                                 labels: Optional[Sequence],
+                                 config: PerturbationConfig, *,
                                  seed: int = 0, epoch: int = 0,
-                                 batch_index: int = 0,
-                                 base: Optional[model.Activations] = None
-                                 ) -> dict[int, np.ndarray]:
+                                 batch_index: int = 0) -> dict[int, np.ndarray]:
     """Stacked perturbations, one (batch, ...) tensor per selected point.
 
-    All selected points are derived from one unperturbed pass ``base`` (run
-    here when not given); the caller applies them simultaneously in one
-    perturbed forward. The supervised construction needs a label for every
-    sample and backpropagates the log-likelihood through ``base`` once, so
-    its ``base`` must be a full ``ForwardCache``. The virtual one reads only
-    the ``Activations``: one power-iteration step per point, its KL gradient
-    evaluated at r = xi * e only (its value and gradient at r = 0 both
-    vanish). Each nudged pass is freed before the next one runs, so the LSTM
-    internals of at most one probe are alive at a time.
+    All selected points are derived from ``base``, the batch's unperturbed
+    pass; the caller applies them simultaneously in one perturbed forward.
+    The supervised construction needs a label in ``0 .. classes - 1`` for
+    every sample and backpropagates the log-likelihood through ``base`` once,
+    so its ``base`` must be a full ``ForwardCache``. The virtual one ignores
+    ``labels`` and reads only the ``Activations``: one power-iteration step
+    per point, its KL gradient evaluated at r = xi * e only (its value and
+    gradient at r = 0 both vanish). Each nudged pass is freed before the
+    next one runs, so the LSTM internals of at most one probe are alive at a
+    time.
     """
-    config = config or PerturbationConfig()
     points = config.points
     if config.mode == "none":
         return {}
     if config.mode == "supervised_at":
         if labels is None or any(lbl is None for lbl in labels):
             raise ValueError("supervised adversarial mode requires a label for every sample")
-        if base is None:
-            base = model.forward_batch(net, X)
-        dlogits = -model.nll_dlogits(base.probs, labels)  # gradient of +log p(label)
+        rows, classes = base.probs.shape
+        if len(labels) != rows:
+            raise ValueError(f"supervised adversarial mode requires one label per sample: "
+                             f"{len(labels)} labels for {rows} samples")
+        idx = np.asarray(labels, dtype=int)
+        if idx.min() < 0 or idx.max() >= classes:
+            raise ValueError(f"supervised adversarial mode requires labels in 0..{classes - 1}")
+        dlogits = -model.nll_dlogits(base.probs, idx)  # gradient of +log p(label)
         _, act = model.backward_batch(net, base, dlogits,
                                       want_param_grads=False, down_to=min(points))
-        return {m: scale_rows(act[m], -config.eps_for(m)).astype(act[m].dtype, copy=False)
+        return {m: scale_rows(act[m], -config.epsilon).astype(act[m].dtype, copy=False)
                 for m in points}
 
-    if base is None:
-        base = model.forward_batch(net, X).activations()
     out: dict[int, np.ndarray] = {}
     for m in points:
         rng = _noise_rng(seed, epoch, batch_index, m)
@@ -174,6 +165,6 @@ def compute_perturbation_tensors(net: model.Network, X: np.ndarray,
         dlogits = model.kl_dlogits(base.probs, nudged.probs)
         _, act = model.backward_batch(net, nudged, dlogits,
                                       want_param_grads=False, down_to=m)
-        out[m] = scale_rows(act[m], config.eps_for(m)).astype(act[m].dtype, copy=False)
+        out[m] = scale_rows(act[m], config.epsilon).astype(act[m].dtype, copy=False)
         del nudged, act
     return out

@@ -182,16 +182,15 @@ def _batch_gradients(net: model.Network, Xb: np.ndarray, yb: np.ndarray,
     the time this returns, so none is alive at the next batch's forward.
     """
     n_lab = len(yb)
-    labels_full = list(yb) + [None] * (Xb.shape[0] - n_lab)
     cache = model.forward_batch(net, Xb)
     nll = nll_loss(cache.probs[:n_lab], yb)
 
     loss = nll
     tensors = {}
     if pcfg.mode == "supervised_at":
-        # the one probe that backpropagates through the clean LSTM
-        tensors = perturb.compute_perturbation_tensors(
-            net, Xb, labels_full, pcfg, base=cache)
+        # the one probe that backpropagates through the clean LSTM; train()
+        # refuses unlabeled rows in this mode, so every row has a label
+        tensors = perturb.compute_perturbation_tensors(net, cache, yb, pcfg)
 
     dlogits = np.zeros_like(cache.probs)
     dlogits[:n_lab] = model.nll_dlogits(cache.probs[:n_lab], yb) / n_lab
@@ -203,8 +202,7 @@ def _batch_gradients(net: model.Network, Xb: np.ndarray, yb: np.ndarray,
 
     if pcfg.mode == "virtual_at":
         tensors = perturb.compute_perturbation_tensors(
-            net, Xb, labels_full, pcfg,
-            seed=seed, epoch=epoch, batch_index=b, base=clean)
+            net, clean, None, pcfg, seed=seed, epoch=epoch, batch_index=b)
 
     if tensors:
         pert_cache = model.forward_batch(net, Xb, tensors)

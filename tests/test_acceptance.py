@@ -151,7 +151,8 @@ def test_criterion_2_norm_contract():
     eps = 2.25
     cfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
                                      epsilon=eps, xi=1.0)
-    tensors = perturb.compute_perturbation_tensors(net, X, None, cfg, seed=3)
+    tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
+                                                   cfg, seed=3)
     checked = 0
     for m, block in tensors.items():
         norms = np.linalg.norm(block.reshape(1000, -1), axis=1)
@@ -164,7 +165,8 @@ def test_criterion_2_norm_contract():
     dead = tiny_net(8)
     dead.dense3.W[...] = 0.0
     dead.dense3.b[...] = 0.0
-    tensors = perturb.compute_perturbation_tensors(dead, X[:100], None, cfg, seed=4)
+    tensors = perturb.compute_perturbation_tensors(dead, model.forward_batch(dead, X[:100]),
+                                                   None, cfg, seed=4)
     for m in (0, 1, 2, 3):
         assert np.array_equal(tensors[m], np.zeros_like(tensors[m]))
 
@@ -179,7 +181,8 @@ def test_criterion_3_power_iteration_oracle():
         net = tiny_net(seed, sharpen=2.0)
         rng = np.random.default_rng(1000 + seed)
         x = rng.uniform(size=(w, n))
-        p_ref = model.forward_batch(net, x[None]).probs[0]
+        base = model.forward_batch(net, x[None])
+        p_ref = base.probs[0]
 
         def kl_at(r_flat):
             c = model.forward_batch(net, x[None], {0: r_flat.reshape(1, w, n)})
@@ -189,7 +192,7 @@ def test_criterion_3_power_iteration_oracle():
         u = dominant_eigenvector(H)
         cfg = perturb.PerturbationConfig(mode="virtual_at", layers="input",
                                          epsilon=1.0, xi=1e-2)
-        r = perturb.compute_perturbation_tensors(net, x[None, ...], None, cfg, seed=seed)[0][0]
+        r = perturb.compute_perturbation_tensors(net, base, None, cfg, seed=seed)[0][0]
         cosines.append(abs_cosine(r, u))
     mean_cos = float(np.mean(cosines))
     assert mean_cos >= 0.95, f"mean |cos| {mean_cos:.4f}, per-seed {cosines}"
@@ -233,8 +236,8 @@ def test_criterion_4_adversarial_dominance():
         base_nll = training.nll_loss(base.probs, y)
 
         for kind, cfg in (("sup", sup), ("vat", vat)):
-            tensors = perturb.compute_perturbation_tensors(
-                net, X, y, cfg, seed=batch_idx, base=base)
+            tensors = perturb.compute_perturbation_tensors(net, base, y, cfg,
+                                                           seed=batch_idx)
             for m, block in tensors.items():
                 rand = rng.normal(size=block.shape)
                 flat_r = rand.reshape(len(batch), -1)

@@ -322,6 +322,29 @@ def test_train_records_provenance_in_the_checkpoint(fixture_pipeline):
     assert {k: meta.get(k) for k in expected} == expected
 
 
+def test_train_hashes_the_cache_it_trained_on_not_one_rewritten_during_the_run(
+        fixture_pipeline, capsys, tmp_path, monkeypatch):
+    _, cache_path, _, _ = fixture_pipeline
+    data_path = tmp_path / "fx.cache"
+    data_path.write_bytes(cache_path.read_bytes())
+    trained_on = hashlib.sha256(data_path.read_bytes()).hexdigest()
+    real_train = training.train
+
+    def train_then_rewrite(*args):
+        out = real_train(*args)
+        data_path.write_bytes(data_path.read_bytes() + b"\n")
+        return out
+
+    monkeypatch.setattr(training, "train", train_then_rewrite)
+    ckpt_path = tmp_path / "fx.ckpt"
+    code, _, err = run(capsys, "train", "--data", str(data_path), "--mode", "basic",
+                       "--epochs", "1", "--batch", "8", "--out", str(ckpt_path))
+    assert code == 0, err
+    _, meta = checkpoint_load(ckpt_path)
+    assert hashlib.sha256(data_path.read_bytes()).hexdigest() != trained_on
+    assert meta["data_sha256"] == trained_on
+
+
 def test_eval_rejects_a_cache_with_other_attributes(fixture_pipeline, capsys, tmp_path):
     _, _, ckpt_path, _ = fixture_pipeline
     swapped = tmp_path / "swapped.cache"

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _checked_files():
-    return [path for folder in ("src/lpat", "tests", "perfbench")
+    return [path for folder in ("src/lpat", "tests", "perfbench", "tools")
             for path in sorted((ROOT / folder).glob("*.py"))]
 
 

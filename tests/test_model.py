@@ -581,28 +581,14 @@ def test_checkpoint_v2_round_trips_special_bit_patterns(tmp_path):
         assert arr.tobytes() == loaded.params()[name].tobytes(), name
 
 
-def _write_v1(net, path):
-    """A v1 checkpoint of ``net``: ``float.hex`` literals, built independently
-    of the writer in ``checkpoint``."""
-    lines = ["LPAT-CKPT v1",
-             "arch " + " ".join(f"{k} {v}" for k, v in net.dims.items()),
-             "meta window 3"]
-    for name, arr in net.params().items():
-        lines.append(f"tensor {name} " + " ".join(map(str, arr.shape)))
-        lines += [" ".join(float(x).hex() for x in row) for row in np.atleast_2d(arr)]
-    lines.append("end")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_checkpoint_v1_hex_float_text_loads_bit_exactly(tmp_path):
-    net = tiny_net(4)
-    net.dense2.b[:3] = [-0.0, 5e-324, -np.finfo(float).max]
+def test_checkpoint_v1_is_refused_naming_the_file(tmp_path):
     path = tmp_path / "v1.ckpt"
-    _write_v1(net, path)
-    loaded, meta = ckpt.checkpoint_load(path)
-    assert meta == {"window": "3"}
-    for name, arr in net.params().items():
-        assert arr.tobytes() == loaded.params()[name].tobytes(), name
+    ckpt.checkpoint_save(tiny_net(4), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["LPAT-CKPT v1"] + lines[1:]) + "\n")
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}: ") + ".*v1 checkpoints are no longer read"):
+        ckpt.checkpoint_load(path)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -624,16 +610,12 @@ def test_checkpoint_v2_malformed_row_raises(tmp_path, bad, error):
         ckpt.checkpoint_load(path)
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, version, value):
+def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, value):
     net = tiny_net(12)
     net.lstm.U[2, 1] = value
     path = tmp_path / "net.ckpt"
-    if version == "v1":
-        _write_v1(net, path)
-    else:
-        ckpt.checkpoint_save(net, path)
+    ckpt.checkpoint_save(net, path)
     with pytest.raises(ckpt.CheckpointFormatError, match="lstm.U holds a non-finite"):
         ckpt.checkpoint_load(path)
 

@@ -117,7 +117,8 @@ def test_virtual_zero_epsilon_gives_exact_zero_everywhere():
     net = tiny_net(1)
     rng = np.random.default_rng(1)
     X = rng.uniform(size=(6, 3, 2))
-    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=0.0), seed=5)
+    tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
+                                                   vat_cfg(epsilon=0.0), seed=5)
     for i in range(len(X)):
         for m, t in tensors.items():
             assert np.array_equal(t[i], np.zeros_like(t[i]))
@@ -128,7 +129,8 @@ def test_virtual_norm_contract():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(32, 3, 2))
     eps = 3.5
-    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=eps), seed=7)
+    tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
+                                                   vat_cfg(epsilon=eps), seed=7)
     assert set(tensors) == set(model.ALL_POINTS)
     for i in range(len(X)):
         for t in tensors.values():
@@ -146,7 +148,8 @@ def test_virtual_zero_gradient_guard_yields_exact_zero():
     net.dense3.b[...] = 0.0
     rng = np.random.default_rng(3)
     X = rng.uniform(size=(4, 3, 2))
-    tensors = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(), seed=1)
+    tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
+                                                   vat_cfg(), seed=1)
     for i in range(len(X)):
         for m in (0, 1, 2, 3):
             assert np.array_equal(tensors[m][i], np.zeros_like(tensors[m][i]))
@@ -157,8 +160,9 @@ def test_virtual_direction_independent_of_epsilon():
     net = tiny_net(4)
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(5, 3, 2))
-    a = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=1.0), seed=9)
-    b = perturb.compute_perturbation_tensors(net, X, None, vat_cfg(epsilon=4.0), seed=9)
+    base = model.forward_batch(net, X)
+    a = perturb.compute_perturbation_tensors(net, base, None, vat_cfg(epsilon=1.0), seed=9)
+    b = perturb.compute_perturbation_tensors(net, base, None, vat_cfg(epsilon=4.0), seed=9)
     for i in range(len(X)):
         for m in a:
             np.testing.assert_allclose(b[m][i], 4.0 * a[m][i], rtol=1e-12, atol=1e-15)
@@ -168,7 +172,8 @@ def test_virtual_deterministic_per_seed_context():
     net = tiny_net(5)
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(4, 3, 2))
-    a, b, c = (perturb.compute_perturbation_tensors(net, X, None, vat_cfg(), seed=3,
+    base = model.forward_batch(net, X)
+    a, b, c = (perturb.compute_perturbation_tensors(net, base, None, vat_cfg(), seed=3,
                                                     epoch=2, batch_index=k)
                for k in (7, 7, 8))
     changed = False
@@ -198,7 +203,7 @@ def test_virtual_direction_tracks_dominant_kl_hessian_eigenvector():
         H = central_diff_hessian(kl_at, np.zeros(w * n), step=1e-4)
         u = dominant_eigenvector(H)
         cfg = vat_cfg(layers="input", xi=1e-2)
-        r = perturb.compute_perturbation_tensors(net, x[None, ...], None, cfg, seed=seed)[0][0]
+        r = perturb.compute_perturbation_tensors(net, base, None, cfg, seed=seed)[0][0]
         cosines.append(abs_cosine(r, u))
     assert np.mean(cosines) >= 0.95
     assert min(cosines) >= 0.95
@@ -214,8 +219,11 @@ def test_float32_virtual_probes_keep_the_float64_direction(xi):
     net = model.init_network(n_attrs=8, hidden1=24, hidden2=24, lstm_units=32, seed=2)
     X = np.random.default_rng(2).uniform(size=(64, 20, 8)).astype(np.float32)
     cfg = vat_cfg(epsilon=20.0, xi=xi)
-    t64 = perturb.compute_perturbation_tensors(net, X.astype(np.float64), None, cfg, seed=7)
-    t32 = perturb.compute_perturbation_tensors(net.astype(np.float32), X, None, cfg, seed=7)
+    net32 = net.astype(np.float32)
+    t64 = perturb.compute_perturbation_tensors(
+        net, model.forward_batch(net, X.astype(np.float64)), None, cfg, seed=7)
+    t32 = perturb.compute_perturbation_tensors(
+        net32, model.forward_batch(net32, X), None, cfg, seed=7)
     for m in model.ALL_POINTS:
         assert t32[m].dtype == np.float32
         a, b = (t[m].reshape(len(X), -1).astype(np.float64) for t in (t64, t32))
@@ -228,7 +236,8 @@ def test_float32_virtual_probes_keep_the_float64_direction(xi):
 def test_mode_none_yields_empty_sets():
     net = tiny_net(6)
     X = np.zeros((3, 3, 2))
-    tensors = perturb.compute_perturbation_tensors(net, X, None, perturb.PerturbationConfig())
+    tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
+                                                   perturb.PerturbationConfig())
     assert tensors == {}
 
 
@@ -236,11 +245,11 @@ def test_supervised_mode_requires_labels_for_every_sample():
     net = tiny_net(6)
     rng = np.random.default_rng(6)
     X = rng.uniform(size=(3, 3, 2))
+    base = model.forward_batch(net, X)
     cfg = perturb.PerturbationConfig(mode="supervised_at", layers="input", epsilon=1.0)
-    with pytest.raises(ValueError):
-        perturb.compute_perturbation_tensors(net, X, None, cfg)
-    with pytest.raises(ValueError):
-        perturb.compute_perturbation_tensors(net, X, [0, None, 2], cfg)
+    for labels in (None, [0, None, 2], [0, 1], [0, 1, 2, 1], [0, 1, 5], [0, -1, 2]):
+        with pytest.raises(ValueError, match="^supervised adversarial mode requires"):
+            perturb.compute_perturbation_tensors(net, base, labels, cfg)
 
 
 def test_supervised_input_selection_matches_classic_input_at():
@@ -249,9 +258,9 @@ def test_supervised_input_selection_matches_classic_input_at():
     x = rng.uniform(size=(3, 2))
     label = 1
     cfg = perturb.PerturbationConfig(mode="supervised_at", layers="input", epsilon=2.0)
-    tensors = perturb.compute_perturbation_tensors(net, x[None, ...], [label], cfg)
-    assert list(tensors) == [0]
     cache = model.forward_batch(net, x[None])
+    tensors = perturb.compute_perturbation_tensors(net, cache, [label], cfg)
+    assert list(tensors) == [0]
     _, act = model.backward_batch(net, cache, -model.nll_dlogits(cache.probs, [label]))
     expected = supervised_perturbation(act[0][0], 2.0)
     np.testing.assert_allclose(tensors[0][0], expected, atol=1e-12)
@@ -262,30 +271,25 @@ def test_virtual_mode_ignores_labels_entirely():
     rng = np.random.default_rng(8)
     X = rng.uniform(size=(4, 3, 2))
     cfg = vat_cfg()
-    mixed = perturb.compute_perturbation_tensors(net, X, [0, None, 2, None], cfg, seed=4)
-    nolab = perturb.compute_perturbation_tensors(net, X, None, cfg, seed=4)
+    base = model.forward_batch(net, X)
+    mixed = perturb.compute_perturbation_tensors(net, base, [0, None, 2, None], cfg, seed=4)
+    nolab = perturb.compute_perturbation_tensors(net, base, None, cfg, seed=4)
     for i in range(len(X)):
         for m in mixed:
             assert np.array_equal(mixed[m][i], nolab[m][i])
 
 
-@pytest.mark.parametrize("mode", ["supervised_at", "virtual_at"])
-def test_without_base_the_clean_pass_is_run_in_place(mode):
+def test_forward_cache_and_activations_bases_give_identical_bytes():
     net = tiny_net(9)
     X = np.random.default_rng(9).uniform(size=(5, 3, 2))
-    labels = [0, 1, 2, 1, 0]
-    cfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=1.5, xi=0.5)
-    own = perturb.compute_perturbation_tensors(net, X, labels, cfg, seed=3, epoch=1,
-                                               batch_index=2)
-    bases = [model.forward_batch(net, X)]
-    if mode == "virtual_at":
-        bases.append(model.forward_batch(net, X).activations())
-    for base in bases:
-        given = perturb.compute_perturbation_tensors(net, X, labels, cfg, seed=3, epoch=1,
-                                                     batch_index=2, base=base)
-        assert list(given) == list(own) == [0, 1, 2, 3, 4]
-        for m in own:
-            assert given[m].tobytes() == own[m].tobytes(), (type(base).__name__, m)
+    cfg = vat_cfg(epsilon=1.5, xi=0.5)
+    cache = model.forward_batch(net, X)
+    full, light = (perturb.compute_perturbation_tensors(net, base, None, cfg, seed=3,
+                                                        epoch=1, batch_index=2)
+                   for base in (cache, cache.activations()))
+    assert list(full) == list(light) == [0, 1, 2, 3, 4]
+    for m in full:
+        assert full[m].tobytes() == light[m].tobytes(), m
 
 
 def test_config_validation_rejects_bad_values():
@@ -299,8 +303,6 @@ def test_config_validation_rejects_bad_values():
         perturb.PerturbationConfig(xi=0.0)
     with pytest.raises(ValueError):
         perturb.PerturbationConfig(lam=-0.5)
-    with pytest.raises(ValueError):
-        perturb.PerturbationConfig(epsilon_per_point={9: 1.0})
 
 
 def test_layer_selection_point_sets():
@@ -310,12 +312,6 @@ def test_layer_selection_point_sets():
     assert perturb.PerturbationConfig(mode="virtual_at", layers="all").points == (0, 1, 2, 3, 4)
     assert perturb.PerturbationConfig(mode="none").points == ()
 
-
-def test_per_point_epsilon_overrides_shared_value():
-    cfg = perturb.PerturbationConfig(mode="virtual_at", layers="all", epsilon=5.0,
-                                     epsilon_per_point={3: 0.5})
-    assert cfg.eps_for(3) == 0.5
-    assert cfg.eps_for(0) == 5.0
 
 
 # -------------------------------------------------- adversarial loss increase
@@ -337,8 +333,8 @@ def test_adversarial_direction_beats_random_on_average():
         base_nll = -np.log(base.probs[0][label])
         p_ref = base.probs[0]
         for kind, cfg in (("sup", sup), ("vat", vat)):
-            tensors = perturb.compute_perturbation_tensors(
-                net, x[None, ...], [label], cfg, seed=trial)
+            tensors = perturb.compute_perturbation_tensors(net, base, [label], cfg,
+                                                           seed=trial)
             for m, t in tensors.items():
                 r = t[0]
                 rand = rng.normal(size=r.shape)

@@ -101,8 +101,8 @@ def test_lap_loss_nonnegative_for_real_perturbations():
     batch = rng.uniform(size=(5, 3, 2))
     cfg = perturb.PerturbationConfig(mode="virtual_at", layers="all",
                                      epsilon=1.0, xi=1.0)
-    tensors = perturb.compute_perturbation_tensors(net, batch, None, cfg, seed=2)
     base = model.forward_batch(net, batch)
+    tensors = perturb.compute_perturbation_tensors(net, base, None, cfg, seed=2)
     pert = model.forward_batch(net, batch, tensors)
     assert training.lap_loss_from_probs(base.probs, pert.probs) >= 0.0
 
@@ -238,28 +238,33 @@ def _capture_first_step(monkeypatch, mode, n_unlabeled):
     pcfg = perturb.PerturbationConfig(mode=mode, layers="all", epsilon=1.0,
                                       xi=1e-3, lam=STEP_LAM)
     seen = {}
+    real_batch = training._batch_gradients
     real_perturb = perturb.compute_perturbation_tensors
     real_step = training.rmsprop_step
 
-    def spy_perturb(net, X, labels, config, **kw):
-        tensors = real_perturb(net, X, labels, config, **kw)
-        seen.setdefault("step", (net.copy(), X.copy(), list(labels),
-                                 {m: t.copy() for m, t in tensors.items()}))
+    def spy_batch(net, Xb, yb, *args):
+        seen.setdefault("batch", (net.copy(), Xb.copy(), yb.copy()))
+        return real_batch(net, Xb, yb, *args)
+
+    def spy_perturb(*args, **kw):
+        tensors = real_perturb(*args, **kw)
+        seen.setdefault("tensors", {m: t.copy() for m, t in tensors.items()})
         return tensors
 
     def spy_step(params, grads, state, lr):
         seen.setdefault("grads", {k: g.copy() for k, g in grads.items()})
         real_step(params, grads, state, lr)
 
+    monkeypatch.setattr(training, "_batch_gradients", spy_batch)
     monkeypatch.setattr(perturb, "compute_perturbation_tensors", spy_perturb)
     monkeypatch.setattr(training, "rmsprop_step", spy_step)
     _, report = training.train(data, cfg, pcfg)
-    n_lab = sum(lbl is not None for lbl in seen["step"][2])
-    assert n_lab == 12 and (len(seen["step"][2]) > n_lab) == bool(n_unlabeled)
+    net, X, y = seen["batch"]
+    tensors = seen["tensors"]
+    assert len(y) == 12 and (len(X) > len(y)) == bool(n_unlabeled)
     assert len(report.epochs) == 1
-    _, X, _, tensors = seen["step"]
     assert {a.dtype for a in (X, *tensors.values())} == {np.dtype(training.TRAIN_DTYPE)}
-    return seen["step"], seen["grads"], report
+    return (net, X, y, tensors), seen["grads"], report
 
 
 @pytest.mark.parametrize("mode,n_unlabeled", [("supervised_at", 0),
@@ -269,14 +274,12 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
     """The update direction is the exact gradient of the documented objective
     nll + lambda * lap, perturbations and reference distribution held fixed,
     finite differences taken in float64 at the point the float32 step saw."""
-    (net, X, labels, tensors), grads, _ = _capture_first_step(monkeypatch, mode,
-                                                              n_unlabeled)
+    (net, X, y, tensors), grads, _ = _capture_first_step(monkeypatch, mode, n_unlabeled)
     # exactly the values the float32 step saw, as float64
     net, X = net.astype(np.float64), X.astype(np.float64)
     tensors = {m: t.astype(np.float64) for m, t in tensors.items()}
-    n_lab = sum(lbl is not None for lbl in labels)
+    n_lab = len(y)
     assert sorted(tensors) == list(model.ALL_POINTS)
-    y = np.array(labels[:n_lab])
     p_ref = model.forward_batch(net, X).probs
 
     def nll():
@@ -303,10 +306,8 @@ def test_one_step_epoch_reports_nll_plus_lambda_lap(monkeypatch, mode, n_unlabel
     """The train loss an epoch of one step reports is nll + lambda * lap,
     both computed here in float64 from the step's own forward passes: re-run
     on the captured float32 network, batch and perturbations, then upcast."""
-    (net, X, labels, tensors), _, report = _capture_first_step(monkeypatch, mode,
-                                                               n_unlabeled)
-    n_lab = sum(lbl is not None for lbl in labels)
-    y = np.array(labels[:n_lab])
+    (net, X, y, tensors), _, report = _capture_first_step(monkeypatch, mode, n_unlabeled)
+    n_lab = len(y)
     p_ref = model.forward_batch(net, X).probs.astype(np.float64)
     q = model.forward_batch(net, X, tensors).probs.astype(np.float64)
     nll = -np.mean(np.log(p_ref[np.arange(n_lab), y]))
@@ -534,7 +535,6 @@ def test_config_validation():
 NON_FINITE_FIELDS = {
     "learning_rate": lambda v: training.TrainConfig(learning_rate=v),
     "epsilon": lambda v: perturb.PerturbationConfig(epsilon=v),
-    "epsilon_per_point[2]": lambda v: perturb.PerturbationConfig(epsilon_per_point={2: v}),
     "xi": lambda v: perturb.PerturbationConfig(xi=v),
     "lam": lambda v: perturb.PerturbationConfig(lam=v),
 }
