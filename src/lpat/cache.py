@@ -9,22 +9,22 @@ sample whose first ``window - 1`` rows equal the previous sample's last
 ``window - 1``, bit for bit, adds only its last row, so overlapping windows
 store each day once.
 
+The file is read in exactly this layout, and ``end`` must be its last line.
 Every float is written in the ``hexrows`` encoding. A section's rows decode
-in one ``bytes.fromhex``, and its samples are read-only views of that block.
-Bad labels, counts, first rows and windows and non-finite values are
-rejected naming their line. v1 and v2 caches are not read: rebuild them
-with ``lpat prep``.
+in one ``hexrows.decode_block``, and its samples are read-only views of
+that block. Bad labels, counts, first rows and windows, malformed rows and
+non-finite values are rejected naming their line. v1 and v2 caches are not
+read: rebuild them with ``lpat prep``.
 """
 
 from __future__ import annotations
 
 from datetime import date
-from pathlib import Path
 
 import numpy as np
 
 from .data import DatasetSplit, Sample, ScalingParams
-from .hexrows import HexRowError, decode_rows, encode_row
+from .hexrows import decode_block, encode_row, read_lines, write_lines
 
 MAGIC = "LPAT-DATA v3"
 SECTIONS = ("train_labeled", "train_unlabeled", "valid", "test")
@@ -78,15 +78,11 @@ def save_split(split: DatasetSplit, path) -> None:
         lines.extend(heads)
         lines.extend(encode_row(row) for row in rows)
     lines.append("end")
-    # encode before opening: a value that cannot be written leaves the old file
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    write_lines(path, lines)
 
 
 def load_split(path) -> DatasetSplit:
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise CacheFormatError(f"{path}: not a text cache ({exc})") from None
+    lines = read_lines(path, CacheFormatError, "cache")
     if not lines or lines[0] != MAGIC:
         raise CacheFormatError(
             f"{path}: missing magic line {MAGIC!r}; caches of other versions "
@@ -104,8 +100,8 @@ def load_split(path) -> DatasetSplit:
         raise CacheFormatError(f"{path}: bad header value ({exc})") from None
     if window < 1:
         raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
-    v_min = _values(path, [need(3, "vmin ")], len(attrs), 3)[0]
-    v_max = _values(path, [need(4, "vmax ")], len(attrs), 4)[0]
+    v_min = decode_block(path, [need(3, "vmin ")], len(attrs), 4, CacheFormatError)[0]
+    v_max = decode_block(path, [need(4, "vmax ")], len(attrs), 5, CacheFormatError)[0]
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
                          scaling=ScalingParams(v_min, v_max),
                          attrs=attrs, window=window)
@@ -139,7 +135,7 @@ def load_split(path) -> DatasetSplit:
         if i + n_rows > len(lines):
             raise CacheFormatError(f"{path}: section {name} cut short at line {i + 1}")
         # neighbouring windows share rows, so no sample may write to them
-        block = _values(path, lines[i:i + n_rows], len(attrs), i)
+        block = decode_block(path, lines[i:i + n_rows], len(attrs), i + 1, CacheFormatError)
         block.flags.writeable = False
         i += n_rows
         getattr(split, name).extend(
@@ -147,18 +143,6 @@ def load_split(path) -> DatasetSplit:
                    window_end=end) for serial, end, label, first in heads)
     if i >= len(lines) or lines[i] != "end":
         raise CacheFormatError(f"{path}: missing end marker")
+    if i + 1 < len(lines):
+        raise CacheFormatError(f"{path}: line {i + 2} follows the end marker")
     return split
-
-
-def _values(path, rows: list[str], cols: int, line: int) -> np.ndarray:
-    """``rows`` decoded into a (len(rows), cols) array of finite values; errors
-    name file lines counting from ``line``, the first row's 0-based line."""
-    try:
-        values = decode_rows(rows, cols)
-    except HexRowError as exc:
-        raise CacheFormatError(f"{path}: line {line + exc.row + 1} holds {exc}") from None
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        r = int(np.argmin(finite))
-        raise CacheFormatError(f"{path}: line {line + r + 1} holds a non-finite value")
-    return values

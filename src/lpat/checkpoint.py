@@ -1,30 +1,32 @@
 """Lossless, line-oriented text checkpoints.
 
-Layout: a magic line ``LPAT-CKPT v2``, one ``arch`` line with the five layer
-widths, optional ``meta key value`` lines, then one block per parameter
-tensor (``tensor <name> <rows> [<cols>]`` followed by one line per row),
-closed by an ``end`` line.
+Layout: a magic line ``LPAT-CKPT v2``; one ``arch`` line with the five layer
+widths in ``ARCH_KEYS`` order, each at least 1; optional ``meta key value``
+lines; one block per parameter tensor in ``model.param_shapes`` order
+(``tensor <name> <rows> [<cols>]`` followed by one line per row); and an
+``end`` line, the last of the file. ``checkpoint_load`` reads exactly the
+layout ``checkpoint_save`` writes.
 
-v2 writes each float64 as the 16 hex digits of its big-endian bit pattern,
-values separated by one space, so a row of ``cols`` values is exactly
-``17 * cols - 1`` characters and a whole tensor decodes in one
-``bytes.fromhex``. It round-trips bit-exactly, and a tensor holding a
-non-finite value is rejected on load. v1 files, whose rows hold
-``float.hex`` literals, are no longer read: retrain to get a v2 file.
+Every float64 is written in the ``hexrows`` encoding, so a checkpoint
+round-trips bit-exactly and a whole tensor decodes in one
+``hexrows.decode_block``, which rejects a malformed row or a non-finite
+value naming its line. v1 files, whose rows hold ``float.hex`` literals,
+are no longer read: retrain to get a v2 file.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import re
 from typing import Optional
 
 import numpy as np
 
-from .hexrows import HexRowError, decode_rows, encode_row
+from .hexrows import decode_block, encode_row, read_lines, write_lines
 from .model import Network, param_shapes
 
 MAGIC = "LPAT-CKPT v2"
 ARCH_KEYS = ("n_attrs", "hidden1", "hidden2", "lstm_units", "classes")
+ARCH_LINE = re.compile("arch " + " ".join(f"{k} ([1-9][0-9]*)" for k in ARCH_KEYS))
 
 
 class CheckpointError(Exception):
@@ -43,6 +45,10 @@ class CheckpointTruncatedError(CheckpointError):
     """File ends before all tensors (or the end marker) were read."""
 
 
+def _tensor_header(name: str, shape: tuple[int, ...]) -> str:
+    return f"tensor {name} " + " ".join(map(str, shape))
+
+
 def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -> None:
     """Write ``net`` to ``path``; ``meta`` holds extra single-line strings
     (e.g. the training window, attribute list and scaling) carried verbatim."""
@@ -54,27 +60,10 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
             raise ValueError(f"meta entry {key!r} must be single-line with a bare key")
         lines.append(f"meta {key} {value}")
     for name, arr in net.params().items():
-        if arr.ndim == 1:
-            lines.append(f"tensor {name} {arr.shape[0]}")
-            lines.append(encode_row(arr))
-        else:
-            lines.append(f"tensor {name} {arr.shape[0]} {arr.shape[1]}")
-            lines.extend(encode_row(row) for row in arr)
+        lines.append(_tensor_header(name, arr.shape))
+        lines.extend(map(encode_row, np.atleast_2d(arr)))
     lines.append("end")
-    # encode before opening: a value that cannot be written leaves the old file
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def _decode_block(rows: list[str], cols: int, where: str) -> np.ndarray:
-    """(len(rows), cols) values of one tensor."""
-    try:
-        return decode_rows(rows, cols)
-    except HexRowError as exc:
-        if exc.values != cols:
-            raise CheckpointTruncatedError(
-                f"{where} row {exc.row} has {exc.values} values, expected {cols}") from None
-        raise CheckpointFormatError(
-            f"{where} row {exc.row} holds a non-hex-float value") from None
+    write_lines(path, lines)
 
 
 def checkpoint_load(path, expect: Optional[dict[str, int]] = None
@@ -84,83 +73,50 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     ``expect`` maps arch keys (e.g. ``lstm_units``) to required values and
     raises CheckpointArchitectureError on any mismatch.
     """
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not a text checkpoint ({exc})") from None
-    lines = text.splitlines()
+    lines = read_lines(path, CheckpointFormatError, "checkpoint")
     if not lines or lines[0] != MAGIC:
         raise CheckpointFormatError(
             f"{path}: missing magic line {MAGIC!r} "
             f"(v1 checkpoints are no longer read: retrain with `lpat train`)")
-    if len(lines) < 2 or not lines[1].startswith("arch "):
-        raise CheckpointTruncatedError(f"{path}: no architecture line")
-    arch_tokens = lines[1].split()[1:]
-    if len(arch_tokens) != 2 * len(ARCH_KEYS):
-        raise CheckpointFormatError(f"{path}: malformed arch line")
-    dims: dict[str, int] = {}
-    for k, v in zip(arch_tokens[0::2], arch_tokens[1::2]):
-        if k not in ARCH_KEYS:
-            raise CheckpointFormatError(f"{path}: unknown arch key {k!r}")
-        if k in dims:
-            raise CheckpointFormatError(f"{path}:2: arch key {k!r} given twice")
-        try:
-            dims[k] = int(v)
-        except ValueError:
-            raise CheckpointFormatError(f"{path}: bad arch value {v!r} for {k}") from None
-    if expect:
-        for k, v in expect.items():
-            if dims.get(k) != v:
-                raise CheckpointArchitectureError(
-                    f"{path}: checkpoint has {k}={dims.get(k)}, expected {v}")
 
-    shapes = param_shapes(dims)
-    tensors: dict[str, np.ndarray] = {}
+    def line(i: int) -> str:
+        if i >= len(lines):
+            raise CheckpointTruncatedError(f"{path}: cut short after line {len(lines)}")
+        return lines[i]
+
+    arch = ARCH_LINE.fullmatch(line(1))
+    if not arch:
+        raise CheckpointFormatError(
+            f"{path}:2: expected 'arch " + " ".join(f"{k} <n>" for k in ARCH_KEYS)
+            + "' with every <n> a whole number of at least 1")
+    dims = dict(zip(ARCH_KEYS, map(int, arch.groups())))
+    for k, v in (expect or {}).items():
+        if dims.get(k) != v:
+            raise CheckpointArchitectureError(
+                f"{path}: checkpoint has {k}={dims.get(k)}, expected {v}")
+
     meta: dict[str, str] = {}
     i = 2
-    saw_end = False
-    while i < len(lines):
-        line = lines[i]
-        if line == "end":
-            saw_end = True
-            break
-        if line.startswith("meta "):
-            parts = line.split(" ", 2)
-            if len(parts) < 3:
-                raise CheckpointFormatError(f"{path}:{i + 1}: malformed meta line")
-            if parts[1] in meta:
-                raise CheckpointFormatError(f"{path}:{i + 1}: meta key {parts[1]!r} given twice")
-            meta[parts[1]] = parts[2]
-            i += 1
-            continue
-        if not line.startswith("tensor "):
-            raise CheckpointFormatError(f"{path}:{i + 1}: unexpected line {line!r}")
-        head = line.split()
-        try:
-            name, shape = head[1], tuple(int(t) for t in head[2:])
-        except (IndexError, ValueError):
-            raise CheckpointFormatError(
-                f"{path}:{i + 1}: malformed tensor header {line!r}") from None
-        if name not in shapes:
-            raise CheckpointFormatError(f"{path}:{i + 1}: unknown tensor {name!r}")
-        if name in tensors:
-            raise CheckpointFormatError(f"{path}:{i + 1}: tensor {name!r} given twice")
-        if shape != shapes[name]:
-            raise CheckpointFormatError(
-                f"{path}:{i + 1}: tensor {name} has shape {shape}, arch implies {shapes[name]}")
-        rows = 1 if len(shape) == 1 else shape[0]
-        cols = shape[0] if len(shape) == 1 else shape[1]
-        block_lines = lines[i + 1:i + 1 + rows]
-        if len(block_lines) < rows:
-            raise CheckpointTruncatedError(f"{path}: tensor {name} cut short")
-        block = _decode_block(block_lines, cols, f"{path}: tensor {name}").reshape(shape)
-        if not np.isfinite(block).all():
-            raise CheckpointFormatError(f"{path}: tensor {name} holds a non-finite value")
-        tensors[name] = block
+    while line(i).startswith("meta "):
+        parts = lines[i].split(" ", 2)
+        if len(parts) < 3:
+            raise CheckpointFormatError(f"{path}:{i + 1}: malformed meta line")
+        if parts[1] in meta:
+            raise CheckpointFormatError(f"{path}:{i + 1}: meta key {parts[1]!r} given twice")
+        meta[parts[1]] = parts[2]
+        i += 1
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(dims).items():
+        header = _tensor_header(name, shape)
+        if line(i) != header:
+            raise CheckpointFormatError(f"{path}:{i + 1}: expected {header!r}")
+        rows, cols = shape if len(shape) == 2 else (1, shape[0])
+        line(i + rows)  # the block's last row
+        tensors[name] = decode_block(path, lines[i + 1:i + 1 + rows], cols, i + 2,
+                                     CheckpointFormatError).reshape(shape)
         i += 1 + rows
-    if not saw_end:
-        raise CheckpointTruncatedError(f"{path}: missing end marker")
-    missing = set(shapes) - set(tensors)
-    if missing:
-        raise CheckpointTruncatedError(f"{path}: missing tensors {sorted(missing)}")
+    if line(i) != "end":
+        raise CheckpointFormatError(f"{path}:{i + 1}: expected 'end'")
+    if i + 1 < len(lines):
+        raise CheckpointFormatError(f"{path}:{i + 2}: line follows the end marker")
     return Network.from_params(tensors), meta

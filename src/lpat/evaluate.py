@@ -115,7 +115,13 @@ def parse_metrics(text: str) -> MetricsReport:
     if not lines or lines[0] != METRICS_MAGIC:
         raise ValueError("not a metrics file")
     fields = dict(ln.split("=", 1) for ln in lines[1:])
+    for key in ("confusion", "macro_f1"):
+        if key not in fields:
+            raise ValueError(f"metrics file has no {key!r} entry")
     flat = [int(v) for v in fields["confusion"].split(",")]
+    if len(flat) != N_CLASSES * N_CLASSES:
+        raise ValueError(f"metrics entry 'confusion' holds {len(flat)} counts, "
+                         f"expected {N_CLASSES * N_CLASSES}")
     cm = np.array(flat, dtype=int).reshape(N_CLASSES, N_CLASSES)
     report = metrics_from_confusion(cm)
     stored = float(fields["macro_f1"])

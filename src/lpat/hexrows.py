@@ -1,63 +1,70 @@
-"""Exact text encoding of float64 rows, shared by the cache and checkpoints.
+"""The text policy shared by the dataset cache and checkpoints.
 
-Each value is the 16 hex digits of its big-endian IEEE-754 bit pattern, and
-the values of a row are separated by one space, so a row of ``cols`` values
-is exactly ``17 * cols - 1`` characters. Every bit pattern round-trips,
-``-0.0``, subnormals and non-finite values included; callers that must not
-accept non-finite values check for them after decoding.
+Both files are ASCII lines. A float64 is the 16 hex digits of its
+big-endian bit pattern and the values of a row are separated by one space,
+so a row of ``cols`` values is exactly ``17 * cols - 1`` characters and
+every bit pattern round-trips, ``-0.0`` and subnormals included. Loaders
+accept finite values only; every block error names ``<path>: line N``.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-
-class HexRowError(ValueError):
-    """A row is malformed; ``row`` indexes the rows given to ``decode_rows``
-    and ``values`` is how many space-separated tokens that row holds."""
-
-    def __init__(self, row: int, values: int, message: str):
-        super().__init__(message)
-        self.row = row
-        self.values = values
 
 
 def encode_row(values) -> str:
     return np.asarray(values, ">f8").tobytes().hex(" ", 8)
 
 
-def decode_rows(rows: Sequence[str], cols: int) -> np.ndarray:
-    """Decode rows of ``cols`` values each into a (len(rows), cols) array
-    with one ``bytes.fromhex`` over the whole block.
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write ``lines`` to ``path``. The whole text is encoded before the file
+    is opened, so a line that cannot be written leaves the old file."""
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+
+
+def read_lines(path, error: type[Exception], what: str) -> list[str]:
+    """The lines of the ASCII file ``path``; ``error`` if it is not ASCII."""
+    try:
+        return Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text {what} ({exc})") from None
+
+
+def decode_block(path, rows: Sequence[str], cols: int, first_line: int,
+                 error: type[Exception]) -> np.ndarray:
+    """``rows``, the lines of ``path`` from line ``first_line`` (1-based) on,
+    as a finite (len(rows), cols) array; the first bad row raises ``error``."""
+    values = _decode(rows, cols)
+    if values is None:
+        r, row = next((r, row) for r, row in enumerate(rows) if _decode([row], cols) is None)
+        count = row.count(" ") + 1
+        problem = (f"{count} values, expected {cols}" if count != cols
+                   else "a value that is not 16 hex digits")
+        raise error(f"{path}: line {first_line + r} holds {problem}")
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise error(f"{path}: line {first_line + r} holds a non-finite value")
+    return values
+
+
+def _decode(rows: Sequence[str], cols: int) -> np.ndarray | None:
+    """``rows`` decoded in one ``bytes.fromhex``, or None if one is malformed.
 
     ``bytes.fromhex`` skips whitespace, so misaligned 15- and 17-digit
     tokens would decode silently: the row widths and the positions of the
     separators are checked first. A stray space or tab inside a value then
     leaves an odd digit count, which ``bytes.fromhex`` rejects, or too few
-    bytes. Raises HexRowError for the first bad row.
+    bytes.
     """
-    n = len(rows) * cols
-    width = 17 * cols - 1
     text = " ".join(rows)
+    if set(map(len, rows)) - {17 * cols - 1} \
+            or text[16::17] != " " * max(len(rows) * cols - 1, 0):
+        return None
     try:
-        if set(map(len, rows)) <= {width} and text[16::17] == " " * max(n - 1, 0):
-            raw = bytes.fromhex(text)
-            if len(raw) == 8 * n:
-                return np.frombuffer(raw, ">f8").astype(float).reshape(len(rows), cols)
+        return np.frombuffer(bytes.fromhex(text), ">f8").astype(float).reshape(len(rows), cols)
     except ValueError:
-        pass
-    for r, row in enumerate(rows):
-        values = row.count(" ") + 1
-        if values != cols:
-            raise HexRowError(r, values, f"{values} values, expected {cols}")
-        try:
-            ok = (len(row) == width and row[16::17] == " " * (cols - 1)
-                  and len(bytes.fromhex(row)) == 8 * cols)
-        except ValueError:
-            ok = False
-        if not ok:
-            raise HexRowError(r, values, "a value that is not 16 hex digits")
-    # not reached: rows that are each well formed join into a well-formed block
-    raise HexRowError(0, cols, "malformed block")
+        return None

@@ -12,7 +12,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 import bench_compare  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
-UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+UNITS = {m["name"]: m["unit"] for m in SPEC["end_to_end"] + SPEC["per_layer"]}
 
 
 def write_run(directory, name, workload, seed, metrics, failed=0, trace=0):
@@ -33,6 +33,12 @@ def metrics(rate, setup=1.0, loss=1.1, rss=100.0):
 def row(lines, workload, metric):
     start = lines.index(next(ln for ln in lines if ln.startswith(f"## {workload}:")))
     return next(ln for ln in lines[start:] if ln.startswith(metric + " "))
+
+
+def traced(load_ms, predict_ms=9.0):
+    return {"checkpoint.checkpoint_load.ms_p50": load_ms,
+            "cli.predict.self_ms_p50": predict_ms, "cache.bytes": 469000.0,
+            "model.forward_batch.clean.calls": 0.0}
 
 
 def test_a_change_better_in_every_pair_by_more_than_the_spread_is_a_gain(tmp_path):
@@ -95,3 +101,46 @@ def test_a_file_that_is_no_report_is_named(tmp_path, capsys):
     (tmp_path / "change" / "notes.txt").write_text("hello\n")
     assert bench_compare.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 2
     assert "notes.txt: no '# lpat benchmark:' header line" in capsys.readouterr().err
+
+
+def test_traced_runs_compare_per_layer_metrics_without_a_verdict(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for i, seed in enumerate(range(101, 106)):
+        write_run(parent, f"p{seed}", "pipeline", seed, metrics(5000))
+        write_run(change, f"c{seed}", "pipeline", seed, metrics(5000))
+        write_run(parent, f"pt{seed}", "pipeline", seed, traced(8.0 + 0.1 * i), trace=1)
+        # better in four pairs, worse in the last
+        write_run(change, f"ct{seed}", "pipeline", seed,
+                  traced(7.5 + 0.1 * i if i < 4 else 9.0), trace=1)
+    lines = bench_compare.report(bench_compare.read_side(parent),
+                                 bench_compare.read_side(change), SPEC)
+    assert lines[0].startswith("## pipeline: 5 parent runs, 5 change runs, 5 pairs")
+    assert row(lines, "pipeline", "windows_per_s").endswith("within bound")
+    assert "## pipeline traced: 5 parent runs, 5 change runs, 5 pairs " \
+           "(seeds 101, 102, 103, 104, 105)" in lines
+    load = row(lines, "pipeline traced", "checkpoint.checkpoint_load.ms_p50")
+    assert "parent 8.2 [8.1, 8.3] n=5" in load
+    assert "change 7.7 [7.6, 7.8] n=5" in load
+    assert load.endswith("better in 4 of 5 pairs (0 equal; lower is better)")
+    size = row(lines, "pipeline traced", "cache.bytes")
+    assert size.endswith("better in 0 of 5 pairs (5 equal; lower is better)")
+    # spans the workload never enters, zero or absent, are only counted
+    start = lines.index(next(ln for ln in lines if ln.startswith("## pipeline traced:")))
+    assert not any(ln.startswith("model.forward_batch") for ln in lines[start:])
+    idle = len(SPEC["per_layer"]) - 3
+    assert lines[-1] == f"({idle} per-layer metrics read 0 or are absent in every run)"
+    # end-to-end metrics are not read from traced runs, nor per-layer ones from untraced
+    assert not any(ln.startswith("checkpoint.") for ln in lines[:start])
+    assert not any(ln.startswith("windows_per_s ") for ln in lines[start:])
+
+
+def test_a_per_layer_metric_on_one_side_only_is_named(tmp_path):
+    write_run(tmp_path / "parent", "p", "pipeline", 1, traced(8.0), trace=1)
+    write_run(tmp_path / "change", "c", "pipeline", 1,
+              {"checkpoint.checkpoint_load.ms_p50": 7.0}, trace=1)
+    lines = bench_compare.report(bench_compare.read_side(tmp_path / "parent"),
+                                 bench_compare.read_side(tmp_path / "change"), SPEC)
+    assert row(lines, "pipeline traced", "cli.predict.self_ms_p50").endswith(
+        "missing on one side")
+    assert "better in 1 of 1 pairs" in row(lines, "pipeline traced",
+                                           "checkpoint.checkpoint_load.ms_p50")

@@ -152,8 +152,14 @@ def test_metrics_file_round_trip_is_exact():
 
 
 def test_parse_metrics_rejects_garbage():
-    with pytest.raises(ValueError):
-        ev.parse_metrics("hello\n")
+    good = ev.format_metrics(ev.metrics_from_confusion(np.diag([4, 4, 4]))).splitlines()
+    no_confusion = [ln for ln in good if not ln.startswith("confusion=")]
+    short = no_confusion + ["confusion=4,0,0,0,4"]
+    for text, match in [("hello\n", "not a metrics file"),
+                        ("\n".join(no_confusion), "no 'confusion' entry"),
+                        ("\n".join(short), "'confusion' holds 5 counts, expected 9")]:
+        with pytest.raises(ValueError, match=match):
+            ev.parse_metrics(text)
 
 
 def test_table_formatting_prints_one_decimal_percentages():

@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 import warnings
+from datetime import date
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from lpat import cache, data, model
 from lpat import checkpoint as ckpt
-from lpat import model
 
 from oracles import central_diff_grad, fd_grad_wrt, lstm_step, rel_error
 
@@ -599,14 +600,15 @@ def test_checkpoint_v1_is_refused_naming_the_file(tmp_path):
     (lambda vals: " ".join(vals)[:-1], ckpt.CheckpointFormatError),
     (lambda vals: " ".join(["3ff000000000000g"] + vals[1:]), ckpt.CheckpointFormatError),
     (lambda vals: " ".join(["3ff00000\t0000000"] + vals[1:]), ckpt.CheckpointFormatError),
-    (lambda vals: " ".join(vals[:-1]), ckpt.CheckpointTruncatedError),
+    (lambda vals: " ".join(vals[:-1]), ckpt.CheckpointFormatError),
 ])
 def test_checkpoint_v2_malformed_row_raises(tmp_path, bad, error):
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(tiny_net(12), path)
     vals = path.read_text().splitlines()[3].split()
     _replace_row(path, "dense1.W", 0, bad(vals))
-    with pytest.raises(error, match="dense1.W row 0"):
+    # line 4 holds the first dense1.W row
+    with pytest.raises(error, match=re.escape(f"{path}: line 4 holds ")):
         ckpt.checkpoint_load(path)
 
 
@@ -616,7 +618,10 @@ def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, value):
     net.lstm.U[2, 1] = value
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(net, path)
-    with pytest.raises(ckpt.CheckpointFormatError, match="lstm.U holds a non-finite"):
+    head = path.read_text().splitlines().index("tensor lstm.U 20 5")
+    # row 2 of lstm.U sits three lines below its 0-based header index
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}: line {head + 4} holds a non-finite value")):
         ckpt.checkpoint_load(path)
 
 
@@ -635,11 +640,58 @@ def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad):
         ckpt.checkpoint_load(path)
 
 
-@pytest.mark.parametrize("entry, size, repeat", [
-    ("meta window ", 1, ["meta window 5"]),
-    ("tensor dense1.b ", 2, None),
+@pytest.mark.parametrize("width", [0, -3])
+def test_checkpoint_arch_width_below_one_is_refused_at_line_2(tmp_path, width):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path)
+    # hidden1 = 4 is dense1's row count and dense2's column count: the tensor
+    # headers agree with the edited arch line
+    edits = {"arch n_attrs 2 hidden1 4 ": f"arch n_attrs 2 hidden1 {width} ",
+             "tensor dense1.W 4 2": f"tensor dense1.W {width} 2",
+             "tensor dense1.b 4": f"tensor dense1.b {width}",
+             "tensor dense2.W 4 4": f"tensor dense2.W 4 {width}"}
+    text = path.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    path.write_text(text)
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}:2: expected 'arch n_attrs <n> ")):
+        ckpt.checkpoint_load(path)
+
+
+def _one_sample_split():
+    top = np.finfo(float).max
+    return data.DatasetSplit(
+        train_labeled=[data.Sample(np.array([[0.5], [top]]), 1, "S1", date(2016, 3, 1))],
+        train_unlabeled=[], valid=[], test=[],
+        scaling=data.ScalingParams([0.0], [top]), attrs=("smart_5_raw",), window=2)
+
+
+@pytest.mark.parametrize("save, load, error, match", [
+    (lambda p: ckpt.checkpoint_save(tiny_net(3), p), ckpt.checkpoint_load,
+     ckpt.CheckpointFormatError, "{path}:{n}: line follows the end marker"),
+    (lambda p: cache.save_split(_one_sample_split(), p), cache.load_split,
+     cache.CacheFormatError, "{path}: line {n} follows the end marker"),
+], ids=["checkpoint", "cache"])
+def test_a_line_after_end_is_refused_naming_it(tmp_path, save, load, error, match):
+    path = tmp_path / "file"
+    save(path)
+    load(path)
+    text = path.read_text()
+    path.write_text(text + text)  # cat a a > b
+    with pytest.raises(error, match=re.escape(
+            match.format(path=path, n=len(text.splitlines()) + 1))):
+        load(path)
+
+
+@pytest.mark.parametrize("entry, size, repeat, message", [
+    ("meta window ", 1, ["meta window 5"], "meta key 'window' given twice"),
+    # tensors come in one order, so a repeated block stands where the next belongs
+    ("tensor dense1.b ", 2, None, "expected 'tensor dense2.W "),
 ], ids=["meta", "tensor"])
-def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, repeat):
+def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, repeat,
+                                                       message):
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(tiny_net(12), path, meta={"window": "20"})
     lines = path.read_text().splitlines()
@@ -647,5 +699,5 @@ def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, re
     lines[at:at] = repeat or lines[at - size:at]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ckpt.CheckpointFormatError,
-                       match=re.escape(f"{path}:{at + 1}: ") + ".* given twice"):
+                       match=re.escape(f"{path}:{at + 1}: {message}")):
         ckpt.checkpoint_load(path)

@@ -4,10 +4,11 @@
 
 Each directory holds the stdout of ``run.py`` runs, one file per run. A run
 is read from its header line (``# lpat benchmark: workload=... seed=...
-trace=...``) and its last line, the JSON result. Runs made with
-``--trace 1`` carry per-layer metrics only and are skipped. A parent run and
-a change run form a pair when they share the workload and the seed; repeated
-seeds pair in file-name order.
+trace=...``) and its last line, the JSON result. Untraced (``--trace 0``)
+and traced (``--trace 1``) runs are compared apart: the first carry the
+end-to-end metrics, the second the per-layer ones. A parent run and a change
+run form a pair when they share the workload, the trace setting and the
+seed; repeated seeds pair in file-name order.
 
 For each workload and each end-to-end metric of the repository's
 ``BENCHMARK.json`` it prints each side's median and quartiles, in how many
@@ -23,8 +24,11 @@ equal values count for neither side) and a verdict:
   the bound, unless every change run reads better than every parent run;
 - ``within bound``: otherwise.
 
-It also prints the failed and attempted checks of each side. Standard
-library only; it reads the reports and writes nothing.
+Each per-layer metric of ``BENCHMARK.json`` gets the same statistics and
+pair count, but no verdict: per-layer metrics have no bound. Those that read
+0 or are absent in every traced run of both sides, the spans a workload
+never enters, are only counted. It also prints the failed and attempted checks of each side.
+Standard library only; it reads the reports and writes nothing.
 """
 
 from __future__ import annotations
@@ -45,33 +49,32 @@ GAIN_SHARE = 0.9
 @dataclass
 class Run:
     workload: str
+    traced: bool
     seed: int
     metrics: dict[str, float]
     failed: int
     attempted: int
 
 
-def read_run(path: Path) -> Run | None:
-    """The run saved in ``path``; None for a traced run. ValueError when the
-    file is not a ``run.py`` report."""
+def read_run(path: Path) -> Run:
+    """The run saved in ``path``; ValueError when the file is not a
+    ``run.py`` report."""
     lines = path.read_text().splitlines()
     head = next((m for m in map(HEADER.match, lines) if m), None)
     if head is None:
         raise ValueError(f"{path}: no '# lpat benchmark:' header line")
-    if head.group(3) != "0":
-        return None
     try:
         result = json.loads(lines[-1])
         metrics = {k: float(v["value"]) for k, v in result["metrics"].items()}
         failed, attempted = int(result["failed"]), int(result["attempted"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: last line is not a run.py result ({exc})") from None
-    return Run(head.group(1), int(head.group(2)), metrics, failed, attempted)
+    return Run(head.group(1), head.group(3) != "0", int(head.group(2)), metrics, failed,
+               attempted)
 
 
 def read_side(directory: Path) -> list[Run]:
-    runs = [read_run(p) for p in sorted(directory.iterdir()) if p.is_file()]
-    return [r for r in runs if r is not None]
+    return [read_run(p) for p in sorted(directory.iterdir()) if p.is_file()]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -92,9 +95,10 @@ def pairs(parent: list[Run], change: list[Run]) -> list[tuple[Run, Run]]:
 
 
 def compare(parent: list[float], change: list[float], paired: list[tuple[float, float]],
-            better: str, bound: float) -> dict:
-    """The statistics and verdict of one metric on one workload; values are
-    oriented so that ``better`` is ``higher`` or ``lower``."""
+            better: str, bound: float | None) -> dict:
+    """The statistics of one metric on one workload, and its verdict when the
+    metric has a ``bound``; values are oriented so that ``better`` is
+    ``higher`` or ``lower``."""
     sign = 1.0 if better == "higher" else -1.0
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
@@ -102,7 +106,9 @@ def compare(parent: list[float], change: list[float], paired: list[tuple[float, 
     ties = sum(c == p for p, c in paired)
     gap = sign * (c_med - p_med)
     spread = p_q3 - p_q1
-    if paired and wins >= GAIN_SHARE * len(paired) and gap > spread:
+    if bound is None:
+        verdict = None
+    elif paired and wins >= GAIN_SHARE * len(paired) and gap > spread:
         verdict = "gain"
     elif -gap > bound * abs(p_med):
         verdict = "worse"
@@ -119,31 +125,39 @@ def compare(parent: list[float], change: list[float], paired: list[tuple[float, 
 
 def report(parent: list[Run], change: list[Run], spec: dict) -> list[str]:
     out = []
-    for workload in sorted({r.workload for r in parent + change}):
-        p_runs = [r for r in parent if r.workload == workload]
-        c_runs = [r for r in change if r.workload == workload]
+    for workload, traced in sorted({(r.workload, r.traced) for r in parent + change}):
+        p_runs = [r for r in parent if (r.workload, r.traced) == (workload, traced)]
+        c_runs = [r for r in change if (r.workload, r.traced) == (workload, traced)]
         paired = pairs(p_runs, c_runs)
-        out.append(f"## {workload}: {len(p_runs)} parent runs, {len(c_runs)} change "
-                   f"runs, {len(paired)} pairs (seeds "
+        out.append(f"## {workload}{' traced' if traced else ''}: {len(p_runs)} parent "
+                   f"runs, {len(c_runs)} change runs, {len(paired)} pairs (seeds "
                    f"{', '.join(str(s) for s in sorted({p.seed for p, _ in paired}))})")
         for side, runs in (("parent", p_runs), ("change", c_runs)):
             failed = sum(r.failed for r in runs)
             out.append(f"{side} failed checks: {failed} of {sum(r.attempted for r in runs)}")
-        for m in spec["end_to_end"]:
+        specs = spec["per_layer"] if traced else spec["end_to_end"]
+        width = max(14, *(len(m["name"]) for m in specs))
+        idle = 0
+        for m in specs:
             name = m["name"]
             p_vals = [r.metrics[name] for r in p_runs if name in r.metrics]
             c_vals = [r.metrics[name] for r in c_runs if name in r.metrics]
+            if traced and not any(p_vals + c_vals):
+                idle += 1  # a span this workload never enters
+                continue
             if not p_vals or not c_vals:
-                out.append(f"{name:14s} missing on one side")
+                out.append(f"{name:{width}s} missing on one side")
                 continue
             both = [(p.metrics[name], c.metrics[name]) for p, c in paired
                     if name in p.metrics and name in c.metrics]
-            s = compare(p_vals, c_vals, both, m["better"], m["bound"])
+            s = compare(p_vals, c_vals, both, m["better"], m.get("bound"))
             out.append(
-                f"{name:14s} {m['unit']:4s} parent {_fmt(*s['parent'])}  change "
+                f"{name:{width}s} {m['unit']:4s} parent {_fmt(*s['parent'])}  change "
                 f"{_fmt(*s['change'])}  {s['rel']:+.1%}  better in {s['wins']} of "
-                f"{s['pairs']} pairs ({s['ties']} equal; {m['better']} is better)  "
-                f"{s['verdict']}")
+                f"{s['pairs']} pairs ({s['ties']} equal; {m['better']} is better)"
+                + (f"  {s['verdict']}" if s["verdict"] else ""))
+        if idle:
+            out.append(f"({idle} per-layer metrics read 0 or are absent in every run)")
     return out
 
 
