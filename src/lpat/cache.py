@@ -9,12 +9,15 @@ sample whose first ``window - 1`` rows equal the previous sample's last
 ``window - 1``, bit for bit, adds only its last row, so overlapping windows
 store each day once.
 
-The file is read in exactly this layout, and ``end`` must be its last line.
-Every float is written in the ``hexrows`` encoding. A section's rows decode
-in one ``hexrows.decode_block``, and its samples are read-only views of
-that block. Bad labels, counts, first rows and windows, malformed rows and
-non-finite values are rejected naming their line. v1 and v2 caches are not
-read: rebuild them with ``lpat prep``.
+The file is read once as bytes through a ``hexrows.TextFile``, in exactly
+this layout, and ``end`` must be its last line. Every float is written in
+the ``hexrows`` encoding. A section's rows are one fixed-width slice,
+decoded into one block, and its samples are read-only views of that block.
+The header is read as strictly as ``save_split`` writes it: an empty
+attribute name, a window that is not plain digits and a ``vmin`` above its
+``vmax`` are refused. Bad labels, counts, first rows and windows, malformed
+rows and non-finite values are rejected naming their line. v1 and v2 caches
+are not read: rebuild them with ``lpat prep``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from datetime import date
 import numpy as np
 
 from .data import DatasetSplit, Sample, ScalingParams
-from .hexrows import decode_block, encode_row, read_lines, write_lines
+from .hexrows import TextFile, encode_row, write_lines
 
 MAGIC = "LPAT-DATA v3"
 SECTIONS = ("train_labeled", "train_unlabeled", "valid", "test")
@@ -82,67 +85,71 @@ def save_split(split: DatasetSplit, path) -> None:
 
 
 def load_split(path) -> DatasetSplit:
-    lines = read_lines(path, CacheFormatError, "cache")
-    if not lines or lines[0] != MAGIC:
+    f = TextFile(path, CacheFormatError, "cache")
+    if f.line() != MAGIC:
         raise CacheFormatError(
             f"{path}: missing magic line {MAGIC!r}; caches of other versions "
             f"are not read: rebuild this one from its CSV with `lpat prep`")
 
-    def need(i, prefix):
-        if i >= len(lines) or not lines[i].startswith(prefix):
-            raise CacheFormatError(f"{path}: expected {prefix!r} at line {i + 1}")
-        return lines[i][len(prefix):]
+    def need(prefix):
+        text = f.line()
+        if text is None or not text.startswith(prefix):
+            raise CacheFormatError(f"{path}: expected {prefix!r} at line "
+                                   f"{f.line_no + (text is None)}")
+        return text[len(prefix):]
 
-    attrs = tuple(a for a in need(1, "attrs ").split(",") if a)
-    try:
-        window = int(need(2, "window "))
-    except ValueError as exc:
-        raise CacheFormatError(f"{path}: bad header value ({exc})") from None
+    attrs = tuple(need("attrs ").split(","))
+    if "" in attrs:
+        raise CacheFormatError(f"{path}: empty attribute name at line 2")
+    text = need("window ")
+    if not text.isdigit():
+        raise CacheFormatError(f"{path}: window {text!r} at line 3 is not a whole number")
+    window = int(text)
     if window < 1:
         raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
-    v_min = decode_block(path, [need(3, "vmin ")], len(attrs), 4, CacheFormatError)[0]
-    v_max = decode_block(path, [need(4, "vmax ")], len(attrs), 5, CacheFormatError)[0]
+    v_min = f.row(need("vmin "), len(attrs))
+    v_max = f.row(need("vmax "), len(attrs))
+    try:
+        scaling = ScalingParams(v_min, v_max)
+    except ValueError as exc:  # both rows are finite: a v_min above its v_max
+        raise CacheFormatError(f"{path}: lines 4-5: {exc}") from None
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
-                         scaling=ScalingParams(v_min, v_max),
-                         attrs=attrs, window=window)
+                         scaling=scaling, attrs=attrs, window=window)
 
-    i = 5
     for name in SECTIONS:
-        head = need(i, f"section {name} ").split(" ")
+        head = need(f"section {name} ").split(" ")
         if len(head) != 2 or not all(t.isdigit() for t in head):
-            raise CacheFormatError(f"{path}: bad section counts at line {i + 1}")
+            raise CacheFormatError(f"{path}: bad section counts at line {f.line_no}")
         count, n_rows = map(int, head)
-        i += 1
         heads = []
         for _ in range(count):
-            parts = need(i, "sample ").split()
+            parts = need("sample ").split()
             if len(parts) != 4:
-                raise CacheFormatError(f"{path}: malformed sample header at line {i + 1}")
+                raise CacheFormatError(f"{path}: malformed sample header at line {f.line_no}")
             serial, end_str, label_str, first_str = parts
             try:
                 end = date.fromisoformat(end_str)
             except ValueError:
-                raise CacheFormatError(f"{path}: bad date at line {i + 1}") from None
+                raise CacheFormatError(f"{path}: bad date at line {f.line_no}") from None
             if label_str not in SECTION_LABELS[name]:
                 raise CacheFormatError(
-                    f"{path}: bad label {label_str!r} at line {i + 1} in section "
+                    f"{path}: bad label {label_str!r} at line {f.line_no} in section "
                     f"{name}, expected {', '.join(SECTION_LABELS[name])}")
-            if not first_str.isdigit() or int(first_str) + window > n_rows:
-                raise CacheFormatError(f"{path}: first row {first_str!r} at line {i + 1} "
+            first = int(first_str) if first_str.isdigit() else n_rows
+            if first + window > n_rows:
+                raise CacheFormatError(f"{path}: first row {first_str!r} at line {f.line_no} "
                                        f"leaves fewer than {window} rows")
-            heads.append((serial, end, LABELS[label_str], int(first_str)))
-            i += 1
-        if i + n_rows > len(lines):
-            raise CacheFormatError(f"{path}: section {name} cut short at line {i + 1}")
+            heads.append((serial, end, LABELS[label_str], first))
+        block = f.block(n_rows, len(attrs))
+        if block is None:
+            raise CacheFormatError(f"{path}: section {name} cut short at line {f.line_no + 1}")
         # neighbouring windows share rows, so no sample may write to them
-        block = decode_block(path, lines[i:i + n_rows], len(attrs), i + 1, CacheFormatError)
         block.flags.writeable = False
-        i += n_rows
         getattr(split, name).extend(
             Sample(features=block[first:first + window], label=label, serial=serial,
                    window_end=end) for serial, end, label, first in heads)
-    if i >= len(lines) or lines[i] != "end":
+    if f.line() != "end":
         raise CacheFormatError(f"{path}: missing end marker")
-    if i + 1 < len(lines):
-        raise CacheFormatError(f"{path}: line {i + 2} follows the end marker")
+    if f.line() is not None:
+        raise CacheFormatError(f"{path}: line {f.line_no} follows the end marker")
     return split

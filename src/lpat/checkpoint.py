@@ -8,10 +8,12 @@ lines; one block per parameter tensor in ``model.param_shapes`` order
 layout ``checkpoint_save`` writes.
 
 Every float64 is written in the ``hexrows`` encoding, so a checkpoint
-round-trips bit-exactly and a whole tensor decodes in one
-``hexrows.decode_block``, which rejects a malformed row or a non-finite
-value naming its line. v1 files, whose rows hold ``float.hex`` literals,
-are no longer read: retrain to get a v2 file.
+round-trips bit-exactly, and the file is read once as bytes through a
+``hexrows.TextFile``: a whole tensor is one fixed-width slice whose length
+follows from its header, and a malformed row or a non-finite value is
+rejected naming its line. A meta key or value that ``checkpoint_save``
+would refuse is refused on load too. v1 files, whose rows hold
+``float.hex`` literals, are no longer read: retrain to get a v2 file.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hexrows import decode_block, encode_row, read_lines, write_lines
+from .hexrows import TextFile, encode_row, write_lines
 from .model import Network, param_shapes
 
 MAGIC = "LPAT-CKPT v2"
@@ -73,18 +75,22 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
     ``expect`` maps arch keys (e.g. ``lstm_units``) to required values and
     raises CheckpointArchitectureError on any mismatch.
     """
-    lines = read_lines(path, CheckpointFormatError, "checkpoint")
-    if not lines or lines[0] != MAGIC:
+    f = TextFile(path, CheckpointFormatError, "checkpoint")
+    if f.line() != MAGIC:
         raise CheckpointFormatError(
             f"{path}: missing magic line {MAGIC!r} "
             f"(v1 checkpoints are no longer read: retrain with `lpat train`)")
 
-    def line(i: int) -> str:
-        if i >= len(lines):
-            raise CheckpointTruncatedError(f"{path}: cut short after line {len(lines)}")
-        return lines[i]
+    def truncated() -> CheckpointTruncatedError:
+        return CheckpointTruncatedError(f"{path}: cut short after line {f.n_lines}")
 
-    arch = ARCH_LINE.fullmatch(line(1))
+    def line() -> str:
+        text = f.line()
+        if text is None:
+            raise truncated()
+        return text
+
+    arch = ARCH_LINE.fullmatch(line())
     if not arch:
         raise CheckpointFormatError(
             f"{path}:2: expected 'arch " + " ".join(f"{k} <n>" for k in ARCH_KEYS)
@@ -96,27 +102,31 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
                 f"{path}: checkpoint has {k}={dims.get(k)}, expected {v}")
 
     meta: dict[str, str] = {}
-    i = 2
-    while line(i).startswith("meta "):
-        parts = lines[i].split(" ", 2)
+    text = line()
+    while text.startswith("meta "):
+        parts = text.split(" ", 2)
         if len(parts) < 3:
-            raise CheckpointFormatError(f"{path}:{i + 1}: malformed meta line")
+            raise CheckpointFormatError(f"{path}:{f.line_no}: malformed meta line")
+        if parts[1].split() != [parts[1]]:
+            raise CheckpointFormatError(
+                f"{path}:{f.line_no}: meta key {parts[1]!r} is empty or holds whitespace")
         if parts[1] in meta:
-            raise CheckpointFormatError(f"{path}:{i + 1}: meta key {parts[1]!r} given twice")
+            raise CheckpointFormatError(f"{path}:{f.line_no}: meta key {parts[1]!r} given twice")
         meta[parts[1]] = parts[2]
-        i += 1
+        text = line()
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(dims).items():
         header = _tensor_header(name, shape)
-        if line(i) != header:
-            raise CheckpointFormatError(f"{path}:{i + 1}: expected {header!r}")
+        if text != header:
+            raise CheckpointFormatError(f"{path}:{f.line_no}: expected {header!r}")
         rows, cols = shape if len(shape) == 2 else (1, shape[0])
-        line(i + rows)  # the block's last row
-        tensors[name] = decode_block(path, lines[i + 1:i + 1 + rows], cols, i + 2,
-                                     CheckpointFormatError).reshape(shape)
-        i += 1 + rows
-    if line(i) != "end":
-        raise CheckpointFormatError(f"{path}:{i + 1}: expected 'end'")
-    if i + 1 < len(lines):
-        raise CheckpointFormatError(f"{path}:{i + 2}: line follows the end marker")
+        block = f.block(rows, cols)
+        if block is None:
+            raise truncated()
+        tensors[name] = block.reshape(shape)
+        text = line()
+    if text != "end":
+        raise CheckpointFormatError(f"{path}:{f.line_no}: expected 'end'")
+    if f.line() is not None:
+        raise CheckpointFormatError(f"{path}:{f.line_no}: line follows the end marker")
     return Network.from_params(tensors), meta

@@ -433,8 +433,9 @@ def _lstm_backward(p: LstmParams, cache: ForwardCache, dh_last: np.ndarray,
                 dU += da.T @ cache.h[:, t - 1]
             db += da.sum(axis=0)
         dx[:, t] = da @ p.W
-        dh = da @ p.U
-        dc = dc * f_t
+        if t > 0:  # at t = 0 nothing reads dh or dc
+            dh = da @ p.U
+            dc = dc * f_t
     if want_param_grads:
         return dx, (dW, dU, db)
     return dx, None

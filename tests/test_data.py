@@ -631,12 +631,35 @@ def test_cache_rejects_bad_counts_and_first_rows_naming_the_line(
     (9, "3ff00000000000 000000000000000000", "line 9 holds a value that is not 16"),
     (9, "3ff000000000000g 0000000000000000", "line 9 holds a value that is not 16"),
     (9, "3ff0000000000000", "line 9 holds 1 values, expected 2"),
+    # each extremum finite, but the second vmin (-0.0) above its vmax
+    (5, "vmax 7fefffffffffffff 8000000000000001", "lines 4-5: v_min must not exceed v_max"),
 ])
 def test_cache_rejects_bad_values_naming_the_line(tmp_path, lineno, text, match):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)
     _edit_line(path, lineno, text)
     with pytest.raises(cache.CacheFormatError, match=match):
+        cache.load_split(path)
+
+
+# line 2 lists the attributes, line 3 holds the window (3): each edit is
+# text save_split never writes
+@pytest.mark.parametrize("lineno, text, match", [
+    (3, "window 0_3", "window '0_3' at line 3 is not a whole number"),
+    (3, "window +3", "window '\\+3' at line 3 is not a whole number"),
+    (3, "window  3", "window ' 3' at line 3 is not a whole number"),
+    (3, "window 3 ", "window '3 ' at line 3 is not a whole number"),
+    (2, "attrs smart_5_raw,,smart_9_raw", "empty attribute name at line 2"),
+    (2, "attrs smart_5_raw,smart_9_raw,", "empty attribute name at line 2"),
+    (2, "attrs ,smart_5_raw,smart_9_raw", "empty attribute name at line 2"),
+], ids=["underscore", "plus-sign", "leading-space", "trailing-space", "inner-empty-name",
+        "trailing-comma", "leading-comma"])
+def test_cache_header_is_read_as_strictly_as_it_is_written(tmp_path, lineno, text, match):
+    path = tmp_path / "s.cache"
+    cache.save_split(_special_split(), path)
+    cache.load_split(path)
+    _edit_line(path, lineno, text)
+    with pytest.raises(cache.CacheFormatError, match=re.escape(f"{path}: ") + match):
         cache.load_split(path)
 
 

@@ -5,7 +5,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -701,3 +701,118 @@ def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, re
     with pytest.raises(ckpt.CheckpointFormatError,
                        match=re.escape(f"{path}:{at + 1}: {message}")):
         ckpt.checkpoint_load(path)
+
+
+@pytest.mark.parametrize("meta_line", ["meta  20", "meta win\tdow 20", "meta win\x1fdow 20"],
+                         ids=["empty-key", "tab-in-key", "unit-separator-in-key"])
+def test_checkpoint_meta_key_that_save_refuses_is_refused_naming_its_line(tmp_path,
+                                                                          meta_line):
+    path = tmp_path / "net.ckpt"
+    ckpt.checkpoint_save(tiny_net(12), path)
+    lines = path.read_text().splitlines()
+    lines.insert(2, meta_line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}:3: meta key ") + ".* is empty or holds whitespace"):
+        ckpt.checkpoint_load(path)
+
+
+# each format: how to write a small file, how to load it, its error class,
+# and the numbers of one header line and of the first row of a block
+FORMATS = {
+    "checkpoint": (lambda p: ckpt.checkpoint_save(tiny_net(3), p, meta={"window": "3"}),
+                   ckpt.checkpoint_load, ckpt.CheckpointError, 2, 5),
+    "cache": (lambda p: cache.save_split(_one_sample_split(), p), cache.load_split,
+              cache.CacheFormatError, 2, 8),
+}
+
+
+@pytest.mark.parametrize("end", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e"],
+                         ids=["CR", "VT", "FF", "FS", "GS", "RS"])
+@pytest.mark.parametrize("place", ["before-newline", "for-newline"])
+@pytest.mark.parametrize("line", ["header", "row"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_line_end_other_than_newline_is_refused_naming_its_line(tmp_path, fmt, line,
+                                                                   place, end):
+    save, load, error, header, row = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    lineno = header if line == "header" else row
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] += end.encode() + (b"\n" + lines.pop(lineno) if place == "for-newline"
+                                         else b"")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(error, match=re.escape(
+            f"{path}: line {lineno} holds {end!r}, a line end other than '\\n'")):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_crlf_line_ends_are_refused_at_line_1(tmp_path, fmt):
+    save, load, error, _, _ = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with pytest.raises(error, match=re.escape(f"{path}: line 1 holds '\\r'")):
+        load(path)
+
+
+def _items(fmt, loaded) -> dict:
+    """What a loaded file holds, one entry per float (as its bit pattern) and
+    per meta value, serial, date or label."""
+    if fmt == "checkpoint":
+        net, meta = loaded
+        items = {("meta", i): kv for i, kv in enumerate(meta.items())}
+        arrays = net.params()
+    else:
+        items = {"attrs": loaded.attrs, "window": loaded.window}
+        arrays = {"vmin": loaded.scaling.v_min, "vmax": loaded.scaling.v_max}
+        for name in cache.SECTIONS:
+            for j, s in enumerate(getattr(loaded, name)):
+                items[name, j] = (s.serial, s.window_end, s.label)
+                arrays[name, j] = s.features
+    for name, arr in arrays.items():
+        items.update({(name, idx): v for idx, v in
+                      np.ndenumerate(np.ascontiguousarray(arr).view(np.int64))})
+    return items
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_file_missing_its_final_newline_still_loads(tmp_path, fmt):
+    save, load, _, _, _ = FORMATS[fmt]
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    save(whole)
+    text = whole.read_bytes()
+    assert text.endswith(b"\nend\n")
+    cut.write_bytes(text[:-1])
+    assert _items(fmt, load(cut)) == _items(fmt, load(whole))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(where=st.floats(0, 1, exclude_max=True), value=st.integers(0, 255))
+# in the cache: vmax's sign digit, flipped to "a" (negative), below its vmin
+@example(where=0.28515625, value=ord("a"))
+@settings(max_examples=300, deadline=None)
+def test_one_changed_byte_is_refused_or_changes_at_most_one_value(tmp_path_factory, fmt,
+                                                                  where, value):
+    """A misaligned block never decodes into shifted values: a file with one
+    byte changed either raises the format's error naming the file, or loads
+    with at most one float, meta value, attribute list or window, or one
+    sample's serial, date or label changed."""
+    save, load, error, _, _ = FORMATS[fmt]
+    path = tmp_path_factory.getbasetemp() / f"one-byte-{fmt}"
+    save(path)
+    want = _items(fmt, load(path))
+    data = bytearray(path.read_bytes())
+    data[int(where * len(data))] = value
+    path.write_bytes(bytes(data))
+    try:
+        got = _items(fmt, load(path))
+    except error as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    changed = want.keys() ^ got.keys()
+    if changed:  # a changed window changes the rows of every window
+        assert want.get("window") != got.get("window")
+        assert all(isinstance(k[0], tuple) for k in changed)
+    assert sum(want[k] != got[k] for k in want.keys() & got.keys()) <= 1
