@@ -41,7 +41,7 @@ def encode_row(values) -> str:
 def write_lines(path, lines: Sequence[str]) -> None:
     """Write ``lines`` to ``path``. The whole text is encoded before the file
     is opened, so a line that cannot be written leaves the old file."""
-    Path(path).write_bytes("\n".join([*lines, ""]).encode("ascii"))
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 class TextFile:

@@ -1,14 +1,14 @@
 """Record one benchmark trajectory file for the current tree.
 
-    python3 tools/bench_record.py --out BENCH_<n>.json [--seed 1] [--seconds S]
+    python3 tools/bench_record.py --out BENCH_<n>.json [--seconds S]
 
 It runs the repository's benchmark command (``perfbench/run.py``, from
 ``BENCHMARK.json``) once per workload at ``--trace 0`` and once at
-``--trace 1``, each in its own process, and writes one JSON file. Each run
-keeps its stamp (machine, BLAS, thread count, commit), its ``correct``,
-``attempted`` and ``failed`` checks, every metric ``BENCHMARK.json`` names
-(end-to-end untraced, per-layer traced) and the metrics ``run.py`` reports
-beside them, such as ``predict_ms_p50``. ``--seconds`` defaults to the
+``--trace 1``, each in its own process at seed 1, and writes one JSON file.
+Each run keeps its stamp (machine, BLAS, thread count, commit), its
+``correct``, ``attempted`` and ``failed`` checks, every metric
+``BENCHMARK.json`` names (end-to-end untraced, per-layer traced) and the
+metrics ``run.py`` reports beside them, such as ``predict_ms_p50``. ``--seconds`` defaults to the
 benchmark's ``run_seconds``. Nothing is written when a run fails. Standard
 library only; ``run.py`` keeps its scratch files where it always does.
 """
@@ -26,12 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # a run.py line for a metric outside BENCHMARK.json: name, value, unit
 REPORTED = re.compile(r"^(\S+)\s+(\S+) (\S+) \(not in BENCHMARK\.json\)$")
 STAMP = "# stamp "
+# every trajectory file is recorded at this seed, so files compare run by run
+SEED = 1
 
 
-def record_run(command: list[str], workload: str, trace: int, seed: int, seconds: float,
+def record_run(command: list[str], workload: str, trace: int, seconds: float,
                size: str) -> dict:
     """One ``run.py`` run, as it goes into the trajectory file."""
-    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds",
+    argv = command + ["--workload", workload, "--seed", str(SEED), "--seconds",
                       f"{seconds:g}", "--trace", str(trace)]
     if size != "full":
         argv += ["--size", size]
@@ -42,7 +44,7 @@ def record_run(command: list[str], workload: str, trace: int, seed: int, seconds
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}")
     result = json.loads(lines[-1])
     return {
-        "workload": workload, "trace": trace, "seed": seed, "seconds": seconds,
+        "workload": workload, "trace": trace, "seed": SEED, "seconds": seconds,
         "stamp": json.loads(stamps[0]),
         "correct": result["correct"], "attempted": result["attempted"],
         "failed": result["failed"], "metrics": result["metrics"],
@@ -55,13 +57,11 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, required=True, help="the file to write")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--size", default="full", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     try:
-        runs = [record_run(spec["command"], w["name"], trace, args.seed, args.seconds,
-                           args.size)
+        runs = [record_run(spec["command"], w["name"], trace, args.seconds, args.size)
                 for w in spec["workloads"] for trace in (0, 1)]
     except (RuntimeError, ValueError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
