@@ -15,9 +15,11 @@ the ``hexrows`` encoding. A section's rows are one fixed-width slice,
 decoded into one block, and its samples are read-only views of that block.
 The header is read as strictly as ``save_split`` writes it: an empty
 attribute name, a window that is not plain digits and a ``vmin`` above its
-``vmax`` are refused. Bad labels, counts, first rows and windows, malformed
-rows and non-finite values are rejected naming their line. v1 and v2 caches
-are not read: rebuild them with ``lpat prep``.
+``vmax`` are refused, and a ``window``, ``section`` or ``sample`` line must
+read exactly as ``save_split`` writes the values read from it. Bad
+labels, counts, first rows and windows, malformed rows and non-finite
+values are rejected naming their line. v1 and v2 caches are not read:
+rebuild them with ``lpat prep``.
 """
 
 from __future__ import annotations
@@ -40,11 +42,19 @@ SECTION_LABELS = {  # the labels each section may hold
 }
 
 
+# each header line as save_split writes it; load_split refuses any other spelling
+WINDOW_LINE = "window {}"
+SECTION_LINE = "section {} {} {}"
+SAMPLE_LINE = "sample {} {} {} {}"  # serial, ISO end date, label, first row
+
+
 class CacheFormatError(ValueError):
     """Dataset cache file is malformed or truncated."""
 
 
 def save_split(split: DatasetSplit, path) -> None:
+    if not split.attrs:
+        raise ValueError("cannot cache a split with no attributes")
     for a in split.attrs:
         if "," in a or a.splitlines() != [a]:
             raise ValueError(f"cannot cache attribute {a!r}: a name must be non-empty "
@@ -52,7 +62,7 @@ def save_split(split: DatasetSplit, path) -> None:
     lines = [
         MAGIC,
         "attrs " + ",".join(split.attrs),
-        f"window {split.window}",
+        WINDOW_LINE.format(split.window),
         "vmin " + encode_row(split.scaling.v_min),
         "vmax " + encode_row(split.scaling.v_max),
     ]
@@ -75,9 +85,9 @@ def save_split(split: DatasetSplit, path) -> None:
             else:
                 rows.extend(x)
             prev = x
-            heads.append(f"sample {s.serial} {s.window_end.isoformat()} {label} "
-                         f"{len(rows) - len(x)}")
-        lines.append(f"section {name} {len(samples)} {len(rows)}")
+            heads.append(SAMPLE_LINE.format(s.serial, s.window_end.isoformat(), label,
+                                            len(rows) - len(x)))
+        lines.append(SECTION_LINE.format(name, len(samples), len(rows)))
         lines.extend(heads)
         lines.extend(encode_row(row) for row in rows)
     lines.append("end")
@@ -98,6 +108,10 @@ def load_split(path) -> DatasetSplit:
                                    f"{f.line_no + (text is None)}")
         return text[len(prefix):]
 
+    def as_written(read: str, written: str) -> None:
+        if read != written:
+            raise CacheFormatError(f"{path}: line {f.line_no} should read {written!r}")
+
     attrs = tuple(need("attrs ").split(","))
     if "" in attrs:
         raise CacheFormatError(f"{path}: empty attribute name at line 2")
@@ -107,6 +121,7 @@ def load_split(path) -> DatasetSplit:
     window = int(text)
     if window < 1:
         raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
+    as_written("window " + text, WINDOW_LINE.format(window))
     v_min = f.row(need("vmin "), len(attrs))
     v_max = f.row(need("vmax "), len(attrs))
     try:
@@ -121,16 +136,21 @@ def load_split(path) -> DatasetSplit:
         if len(head) != 2 or not all(t.isdigit() for t in head):
             raise CacheFormatError(f"{path}: bad section counts at line {f.line_no}")
         count, n_rows = map(int, head)
+        as_written(f"section {name} " + " ".join(head),
+                   SECTION_LINE.format(name, count, n_rows))
         heads = []
         for _ in range(count):
-            parts = need("sample ").split()
+            text = need("sample ")
+            parts = text.split()
             if len(parts) != 4:
                 raise CacheFormatError(f"{path}: malformed sample header at line {f.line_no}")
             serial, end_str, label_str, first_str = parts
             try:
                 end = date.fromisoformat(end_str)
             except ValueError:
-                raise CacheFormatError(f"{path}: bad date at line {f.line_no}") from None
+                end = None
+            if end is None or end.isoformat() != end_str:  # Python 3.11 reads 20160301 too
+                raise CacheFormatError(f"{path}: bad date at line {f.line_no}")
             if label_str not in SECTION_LABELS[name]:
                 raise CacheFormatError(
                     f"{path}: bad label {label_str!r} at line {f.line_no} in section "
@@ -139,6 +159,7 @@ def load_split(path) -> DatasetSplit:
             if first + window > n_rows:
                 raise CacheFormatError(f"{path}: first row {first_str!r} at line {f.line_no} "
                                        f"leaves fewer than {window} rows")
+            as_written("sample " + text, SAMPLE_LINE.format(serial, end_str, label_str, first))
             heads.append((serial, end, LABELS[label_str], first))
         block = f.block(n_rows, len(attrs))
         if block is None:

@@ -14,6 +14,8 @@ follows from its header, and a malformed row or a non-finite value is
 rejected naming its line. A meta key or value that ``checkpoint_save``
 would refuse is refused on load too. v1 files, whose rows hold
 ``float.hex`` literals, are no longer read: retrain to get a v2 file.
+Every refusal, a file cut short among them, is a ``CheckpointFormatError``,
+a ``ValueError``, naming the file.
 """
 
 from __future__ import annotations
@@ -31,20 +33,8 @@ ARCH_KEYS = ("n_attrs", "hidden1", "hidden2", "lstm_units", "classes")
 ARCH_LINE = re.compile("arch " + " ".join(f"{k} ([1-9][0-9]*)" for k in ARCH_KEYS))
 
 
-class CheckpointError(Exception):
-    """Base class for checkpoint file problems."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Wrong magic tag or a structurally malformed line."""
-
-
-class CheckpointArchitectureError(CheckpointError):
-    """Stored architecture differs from what the caller expects."""
-
-
-class CheckpointTruncatedError(CheckpointError):
-    """File ends before all tensors (or the end marker) were read."""
+class CheckpointFormatError(ValueError):
+    """Checkpoint file is malformed or truncated."""
 
 
 def _tensor_header(name: str, shape: tuple[int, ...]) -> str:
@@ -68,21 +58,16 @@ def checkpoint_save(net: Network, path, meta: Optional[dict[str, str]] = None) -
     write_lines(path, lines)
 
 
-def checkpoint_load(path, expect: Optional[dict[str, int]] = None
-                    ) -> tuple[Network, dict[str, str]]:
-    """Read a checkpoint; returns (network, meta).
-
-    ``expect`` maps arch keys (e.g. ``lstm_units``) to required values and
-    raises CheckpointArchitectureError on any mismatch.
-    """
+def checkpoint_load(path) -> tuple[Network, dict[str, str]]:
+    """Read a checkpoint; returns (network, meta)."""
     f = TextFile(path, CheckpointFormatError, "checkpoint")
     if f.line() != MAGIC:
         raise CheckpointFormatError(
             f"{path}: missing magic line {MAGIC!r} "
             f"(v1 checkpoints are no longer read: retrain with `lpat train`)")
 
-    def truncated() -> CheckpointTruncatedError:
-        return CheckpointTruncatedError(f"{path}: cut short after line {f.n_lines}")
+    def truncated() -> CheckpointFormatError:
+        return CheckpointFormatError(f"{path}: cut short after line {f.n_lines}")
 
     def line() -> str:
         text = f.line()
@@ -96,10 +81,6 @@ def checkpoint_load(path, expect: Optional[dict[str, int]] = None
             f"{path}:2: expected 'arch " + " ".join(f"{k} <n>" for k in ARCH_KEYS)
             + "' with every <n> a whole number of at least 1")
     dims = dict(zip(ARCH_KEYS, map(int, arch.groups())))
-    for k, v in (expect or {}).items():
-        if dims.get(k) != v:
-            raise CheckpointArchitectureError(
-                f"{path}: checkpoint has {k}={dims.get(k)}, expected {v}")
 
     meta: dict[str, str] = {}
     text = line()

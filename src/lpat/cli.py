@@ -17,18 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cache, data, evaluate, synthetic, training
-from .checkpoint import CheckpointError, checkpoint_load, checkpoint_save
+from . import cache, data, evaluate, perturb, synthetic, training
+from .checkpoint import checkpoint_load, checkpoint_save
 from .perturb import PerturbationConfig
 from .training import TrainConfig
 
-MODE_MAP = {
-    "basic": "none",
-    "at": "supervised_at",
-    "vat": "virtual_at",
-    "lpat": "virtual_at",
+MODES = {  # CLI mode: the library mode it runs and its default injection points
+    "basic": ("none", "all"),
+    "at": ("supervised_at", "input"),
+    "vat": ("virtual_at", "input"),
+    "lpat": ("virtual_at", "all"),
 }
-DEFAULT_LAYERS = {"basic": "all", "at": "input", "vat": "input", "lpat": "all"}
 PROB_DECIMALS = 3  # places of the probabilities predict prints
 
 
@@ -71,8 +70,8 @@ SCHEMAS: dict[str, list[Flag]] = {
     ],
     "train": [
         Flag("data", str, "dataset cache from prep", required=True),
-        Flag("mode", str, "training mode", ("basic", "at", "vat", "lpat"), default="lpat"),
-        Flag("layers", str, "injection points", ("input", "bottom", "top", "all")),
+        Flag("mode", str, "training mode", tuple(MODES), default="lpat"),
+        Flag("layers", str, "injection points", tuple(perturb.LAYER_SELECTIONS)),
         Flag("epsilon", float,
              "perturbation norm: absolute L2 per window, in the scaled units "
              "of each injection point"),
@@ -198,8 +197,8 @@ def cmd_prep(cfg: argparse.Namespace) -> None:
 
 
 def _train_configs(cfg: argparse.Namespace) -> tuple[TrainConfig, PerturbationConfig]:
-    pcfg = PerturbationConfig(mode=MODE_MAP[cfg.mode],
-                              layers=cfg.layers or DEFAULT_LAYERS[cfg.mode],
+    mode, layers = MODES[cfg.mode]
+    pcfg = PerturbationConfig(mode=mode, layers=cfg.layers or layers,
                               **_given(cfg, "epsilon", "xi", "lam"))
     tcfg = TrainConfig(**_given(cfg, "learning_rate", "batch_size", "epochs",
                                 "unlabeled_frac", "seed"))
@@ -251,8 +250,10 @@ def cmd_train(cfg: argparse.Namespace) -> None:
 
 def cmd_eval(cfg: argparse.Namespace) -> None:
     split = cache.load_split(cfg.data)
-    net, meta = checkpoint_load(cfg.checkpoint,
-                                expect={"n_attrs": len(split.attrs)})
+    net, meta = checkpoint_load(cfg.checkpoint)
+    if net.dims["n_attrs"] != len(split.attrs):
+        raise CliError(f"{cfg.checkpoint}: checkpoint has n_attrs={net.dims['n_attrs']}, "
+                       f"expected {len(split.attrs)}")
     # a checkpoint that lacks an entry is not checked on it
     for key, cached in _pipeline_meta(split).items():
         if meta.get(key) not in (None, cached):
@@ -343,8 +344,7 @@ def main(argv=None) -> int:
     command = args.command
     try:
         HANDLERS[command](_settings(command, args))
-    except (CliError, CheckpointError, cache.CacheFormatError, data.SchemaError,
-            data.RowError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"lpat {command}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -184,9 +184,9 @@ class ForwardCache(Activations):
 
     The LSTM internals are stored time-major, (w, B, .), and kept here as
     (B, w, .) views, so ``gates[:, t]`` and the other per-step slices are
-    contiguous blocks. They are the bulk of the cache: 28.7 MB at B=128,
-    w=20 and 200 units, against 5.4 MB for the activations of points 1-3
-    at widths 128/128/200."""
+    contiguous blocks. They are the bulk of the cache: in the float32
+    training passes, 14.3 MB at B=128, w=20 and 200 units, against 2.7 MB
+    for the activations of points 1-3 at widths 128/128/200."""
 
     gates: np.ndarray   # (B, w, 4q) activated gate values i,f,o,j
     c: np.ndarray       # (B, w, q) cell states

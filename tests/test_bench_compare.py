@@ -95,6 +95,23 @@ def test_runs_pair_by_seed_and_failures_are_counted(tmp_path, capsys):
     assert "better in 1 of 1 pairs" in row(out, "train-lpat", "windows_per_s")
 
 
+@pytest.mark.parametrize("parent_failed, change_failed, flagged", [
+    ((0, 0), (0, 1), True),
+    ((2, 2), (1, 4), True),   # 5 of 20 against 4 of 20
+    ((2, 2), (4, 0), False),  # 4 of 20 on each side
+    ((3, 0), (0, 0), False),
+])
+def test_a_larger_share_of_failed_checks_is_flagged(tmp_path, parent_failed, change_failed,
+                                                   flagged):
+    for side, fails in (("parent", parent_failed), ("change", change_failed)):
+        for seed, failed in enumerate(fails):
+            write_run(tmp_path / side, f"{seed}", "pipeline", seed, metrics(100),
+                      failed=failed)
+    lines = bench_compare.report(bench_compare.read_side(tmp_path / "parent"),
+                                 bench_compare.read_side(tmp_path / "change"), SPEC)
+    assert ("more failed checks" in lines) == flagged
+
+
 def test_a_file_that_is_no_report_is_named(tmp_path, capsys):
     write_run(tmp_path / "parent", "ok", "pipeline", 1, metrics(1))
     (tmp_path / "change").mkdir()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpat import cache, cli, data, evaluate, synthetic, training
+from lpat import cache, cli, data, evaluate, model, synthetic, training
 from lpat.checkpoint import checkpoint_load, checkpoint_save
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
@@ -369,6 +369,19 @@ def test_eval_rejects_a_cache_with_other_attributes(fixture_pipeline, capsys, tm
                          "--checkpoint", str(bare))
     assert code == 0, err
     assert "Macro-F1" in out
+
+
+def test_eval_rejects_a_checkpoint_with_another_attribute_count(fixture_pipeline, capsys,
+                                                               tmp_path):
+    _, cache_path, _, _ = fixture_pipeline
+    # its attrs entry differs too: the width is checked first
+    wide = tmp_path / "wide.ckpt"
+    checkpoint_save(model.init_network(3, 4, 4, 5, seed=0), wide,
+                    meta={"attrs": "smart_5_raw,smart_187_raw,smart_9_raw"})
+    code, out, err = run(capsys, "eval", "--data", str(cache_path),
+                         "--checkpoint", str(wide))
+    assert code == 1 and not out
+    assert err == f"lpat eval: {wide}: checkpoint has n_attrs=3, expected 2\n"
 
 
 def test_eval_rejects_a_cache_scaled_with_other_extrema(tmp_path, capsys):

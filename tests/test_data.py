@@ -586,6 +586,18 @@ def test_cache_save_refuses_an_attribute_name_it_could_not_load(tmp_path, name):
     assert path.read_bytes() == before
 
 
+def test_cache_save_refuses_a_split_with_no_attributes(tmp_path):
+    path = tmp_path / "data.cache"
+    split = _special_split()
+    split.attrs = ()
+    for s in split.train_labeled + split.test:
+        s.features = s.features[:, :0]
+    split.scaling = data.ScalingParams([], [])
+    with pytest.raises(ValueError, match="cannot cache a split with no attributes"):
+        cache.save_split(split, path)
+    assert not path.exists()
+
+
 def test_cache_rejects_a_section_cut_short_naming_the_line(tmp_path):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)
@@ -607,9 +619,11 @@ def test_cache_rejects_a_section_cut_short_naming_the_line(tmp_path):
     (7, "sample S1 2016-03-01 2 x", "first row 'x' at line 7"),
     (7, "sample S1 2016-03-01 2 1", "first row '1' at line 7 leaves fewer than 3 rows"),
     (7, "sample S1 2016-03-01 2", "malformed sample header at line 7"),
+    (7, "sample S1 2016-03-01 2 00", "line 7 should read 'sample S1 2016-03-01 2 0'"),
+    (6, "section train_labeled 01 3", "line 6 should read 'section train_labeled 1 3'"),
 ], ids=["negative-count", "non-integer-rows", "fractional-rows", "no-row-count",
         "negative-first-row", "non-integer-first-row", "first-row-too-late",
-        "no-first-row"])
+        "no-first-row", "first-row-leading-zero", "count-leading-zero"])
 def test_cache_rejects_bad_counts_and_first_rows_naming_the_line(
         tmp_path, lineno, text, match):
     path = tmp_path / "s.cache"
@@ -642,18 +656,24 @@ def test_cache_rejects_bad_values_naming_the_line(tmp_path, lineno, text, match)
         cache.load_split(path)
 
 
-# line 2 lists the attributes, line 3 holds the window (3): each edit is
-# text save_split never writes
+# line 2 lists the attributes, line 3 holds the window (3), line 7 the
+# header of sample S1: each edit is text save_split never writes
 @pytest.mark.parametrize("lineno, text, match", [
     (3, "window 0_3", "window '0_3' at line 3 is not a whole number"),
     (3, "window +3", "window '\\+3' at line 3 is not a whole number"),
     (3, "window  3", "window ' 3' at line 3 is not a whole number"),
     (3, "window 3 ", "window '3 ' at line 3 is not a whole number"),
+    (3, "window 03", "line 3 should read 'window 3'"),
     (2, "attrs smart_5_raw,,smart_9_raw", "empty attribute name at line 2"),
     (2, "attrs smart_5_raw,smart_9_raw,", "empty attribute name at line 2"),
     (2, "attrs ,smart_5_raw,smart_9_raw", "empty attribute name at line 2"),
-], ids=["underscore", "plus-sign", "leading-space", "trailing-space", "inner-empty-name",
-        "trailing-comma", "leading-comma"])
+    (7, "sample S1 20160301 2 0", "bad date at line 7"),
+    (7, "sample S1 2016-W09-2 2 0", "bad date at line 7"),
+    (7, "sample S1  2016-03-01 2 0", "line 7 should read 'sample S1 2016-03-01 2 0'"),
+    (7, "sample S1 2016-03-01 2 0 ", "line 7 should read 'sample S1 2016-03-01 2 0'"),
+], ids=["underscore", "plus-sign", "leading-space", "trailing-space", "window-leading-zero",
+        "inner-empty-name", "trailing-comma", "leading-comma", "basic-date", "week-date",
+        "doubled-space", "sample-trailing-space"])
 def test_cache_header_is_read_as_strictly_as_it_is_written(tmp_path, lineno, text, match):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)

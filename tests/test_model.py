@@ -546,18 +546,8 @@ def test_checkpoint_truncated_file_raises(tmp_path):
     ckpt.checkpoint_save(net, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:10]) + "\n")
-    with pytest.raises(ckpt.CheckpointTruncatedError):
+    with pytest.raises(ckpt.CheckpointFormatError, match="cut short after line"):
         ckpt.checkpoint_load(path)
-
-
-def test_checkpoint_architecture_expectation_enforced(tmp_path):
-    net = tiny_net(12)
-    path = tmp_path / "net.ckpt"
-    ckpt.checkpoint_save(net, path)
-    loaded, _ = ckpt.checkpoint_load(path, expect={"lstm_units": 5})
-    assert loaded.dims["lstm_units"] == 5
-    with pytest.raises(ckpt.CheckpointArchitectureError):
-        ckpt.checkpoint_load(path, expect={"lstm_units": 200})
 
 
 def _replace_row(path, tensor, row, text):
@@ -721,7 +711,7 @@ def test_checkpoint_meta_key_that_save_refuses_is_refused_naming_its_line(tmp_pa
 # and the numbers of one header line and of the first row of a block
 FORMATS = {
     "checkpoint": (lambda p: ckpt.checkpoint_save(tiny_net(3), p, meta={"window": "3"}),
-                   ckpt.checkpoint_load, ckpt.CheckpointError, 2, 5),
+                   ckpt.checkpoint_load, ckpt.CheckpointFormatError, 2, 5),
     "cache": (lambda p: cache.save_split(_one_sample_split(), p), cache.load_split,
               cache.CacheFormatError, 2, 8),
 }

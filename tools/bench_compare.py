@@ -27,7 +27,9 @@ equal values count for neither side) and a verdict:
 Each per-layer metric of ``BENCHMARK.json`` gets the same statistics and
 pair count, but no verdict: per-layer metrics have no bound. Those that read
 0 or are absent in every traced run of both sides, the spans a workload
-never enters, are only counted. It also prints the failed and attempted checks of each side.
+never enters, are only counted. It also prints the failed and attempted checks of each side,
+and ``more failed checks`` where the change fails a larger share of its
+checks than the parent.
 Standard library only; it reads the reports and writes nothing.
 """
 
@@ -132,9 +134,13 @@ def report(parent: list[Run], change: list[Run], spec: dict) -> list[str]:
         out.append(f"## {workload}{' traced' if traced else ''}: {len(p_runs)} parent "
                    f"runs, {len(c_runs)} change runs, {len(paired)} pairs (seeds "
                    f"{', '.join(str(s) for s in sorted({p.seed for p, _ in paired}))})")
+        shares = []
         for side, runs in (("parent", p_runs), ("change", c_runs)):
-            failed = sum(r.failed for r in runs)
-            out.append(f"{side} failed checks: {failed} of {sum(r.attempted for r in runs)}")
+            failed, attempted = sum(r.failed for r in runs), sum(r.attempted for r in runs)
+            out.append(f"{side} failed checks: {failed} of {attempted}")
+            shares.append(failed / attempted if attempted else 0.0)
+        if shares[1] > shares[0]:
+            out.append("more failed checks")
         specs = spec["per_layer"] if traced else spec["end_to_end"]
         width = max(14, *(len(m["name"]) for m in specs))
         idle = 0
