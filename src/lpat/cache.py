@@ -130,6 +130,7 @@ def load_split(path) -> DatasetSplit:
         raise CacheFormatError(f"{path}: lines 4-5: {exc}") from None
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
                          scaling=scaling, attrs=attrs, window=window)
+    dates: dict[str, date] = {}  # each distinct end date, parsed once
 
     for name in SECTIONS:
         head = need(f"section {name} ").split(" ")
@@ -145,12 +146,15 @@ def load_split(path) -> DatasetSplit:
             if len(parts) != 4:
                 raise CacheFormatError(f"{path}: malformed sample header at line {f.line_no}")
             serial, end_str, label_str, first_str = parts
-            try:
-                end = date.fromisoformat(end_str)
-            except ValueError:
-                end = None
-            if end is None or end.isoformat() != end_str:  # Python 3.11 reads 20160301 too
-                raise CacheFormatError(f"{path}: bad date at line {f.line_no}")
+            end = dates.get(end_str)
+            if end is None:
+                try:
+                    end = date.fromisoformat(end_str)
+                except ValueError:
+                    end = None
+                if end is None or end.isoformat() != end_str:  # Python 3.11 reads 20160301 too
+                    raise CacheFormatError(f"{path}: bad date at line {f.line_no}")
+                dates[end_str] = end
             if label_str not in SECTION_LABELS[name]:
                 raise CacheFormatError(
                     f"{path}: bad label {label_str!r} at line {f.line_no} in section "

@@ -182,9 +182,10 @@ class ForwardCache(Activations):
     """Everything a full backward needs: the activations plus the LSTM
     internals per step.
 
-    The LSTM internals are stored time-major, (w, B, .), and kept here as
-    (B, w, .) views, so ``gates[:, t]`` and the other per-step slices are
-    contiguous blocks. They are the bulk of the cache: in the float32
+    The LSTM internals are regions of one time-major block, (w, B, .),
+    allocated per pass, and kept here as (B, w, .) views, so ``gates[:, t]``
+    and the other per-step slices are contiguous. Any one of them keeps the
+    whole block alive. They are the bulk of the cache: in the float32
     training passes, 14.3 MB at B=128, w=20 and 200 units, against 2.7 MB
     for the activations of points 1-3 at widths 128/128/200."""
 
@@ -204,17 +205,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _input_gates(p: LstmParams, x: np.ndarray) -> np.ndarray:
-    """Gate pre-activations ``x W^T + b`` of every step of a (B, w, d)
-    batch, time-major (w, B, 4q), from one (w*B, d) GEMM; the gate math then
-    overwrites them in place step by step."""
-    B, w, d = x.shape
-    x_tm = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d)
-    gates = (x_tm @ p.W.T).reshape(w, B, 4 * p.units)
-    gates += p.b
-    return gates
 
 
 def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
@@ -255,20 +245,42 @@ def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
 def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
     """Run the LSTM over (B, w, d) inputs; returns the gates, ``c``,
     ``tanh_c`` and ``h`` as (B, ., .) views of time-major storage, so each
-    step reads and writes contiguous (B, .) blocks. With ``history`` each
-    step keeps its own blocks; without it every step overwrites the same
-    ones, so ``c``, ``tanh_c`` and ``h`` hold only the final state."""
-    gates = _input_gates(p, x)
-    w, B, _ = gates.shape
+    step reads and writes contiguous (B, .) blocks. All four are regions of
+    one block allocated per pass. With ``history`` each step keeps its own
+    blocks; without it every step overwrites the same ones, so ``c``,
+    ``tanh_c`` and ``h`` hold only the final state.
+
+    The gate pre-activations ``x W^T + b`` come from one (w*B, d) GEMM into
+    a (w, B, 4q) region, except in a pass without ``history`` over B >= 2
+    windows: there each step forms its own into the one (B, 4q) region, and
+    the tests pin its rows to the one GEMM's bit for bit. A single window
+    keeps the one GEMM, because numpy runs a one-row product as GEMV, whose
+    bits differ."""
+    B, w, d = x.shape
     q = p.units
-    depth = w if history else 1
-    c, tanh_c, h = (np.empty((depth, B, q), dtype=x.dtype) for _ in range(3))
+    per_step = not history and B > 1
+    gate_depth = 1 if per_step else w  # steps of gates held
+    depth = w if history else 1        # steps of c, tanh_c and h held
+    n_gates = gate_depth * B * 4 * q
+    block = np.empty(n_gates + 3 * depth * B * q, dtype=x.dtype)
+    gates = block[:n_gates].reshape(gate_depth, B, 4 * q)
+    c, tanh_c, h = block[n_gates:].reshape(3, depth, B, q)
+    if not per_step:
+        np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d), p.W.T,
+                  out=gates.reshape(w * B, 4 * q))
+        gates += p.b
     rec, fc = np.empty((B, 4 * q), dtype=x.dtype), np.empty((B, q), dtype=x.dtype)
     with np.errstate(over="ignore"):
         for t in range(w):
+            if per_step:
+                g = gates[0]
+                np.matmul(x[:, t], p.W.T, out=g)
+                g += p.b
+            else:
+                g = gates[t]
             s = t if history else 0
             h_prev, c_prev = (h[s - 1], c[s - 1]) if t > 0 else (None, None)
-            _lstm_cell(p.U, gates[t], h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
+            _lstm_cell(p.U, g, h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
     return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
 
 
@@ -389,7 +401,8 @@ def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
     within rounding (about 2e-16 at default widths) of ``forward_batch`` on
     ``net``. It keeps no activations and no ForwardCache, and its LSTM keeps
     one (B, q) block each of ``c``, ``tanh_c`` and ``h`` instead of one per
-    step. Only the chunk's input pre-activations (w, B, 4q) span the window.
+    step, and forms each step's (B, 4q) input pre-activations in one reused
+    block; only a single-window chunk forms them for the whole window.
     """
     lstm = _folded_lstm(net)
     return np.concatenate([_infer(net, lstm, X[lo:lo + PREDICT_CHUNK])

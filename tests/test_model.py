@@ -285,6 +285,7 @@ def test_predict_proba_keeps_no_per_step_lstm_state(monkeypatch):
     monkeypatch.setattr(model, "_lstm_forward", no_training_pass)
     predict_peak = peak_bytes(lambda: model.predict_proba(net, X))
     assert forward_peak - predict_peak >= 3 * w * B * widths[3] * 8
+    assert predict_peak < w * B * 4 * widths[3] * 8
 
 
 def test_forward_probabilities_form_a_distribution():
