@@ -1,25 +1,27 @@
-"""Line-oriented dataset cache.
+"""Dataset cache: text header lines, then every float as raw bytes.
 
-Layout: magic ``LPAT-DATA v3``, the attribute list, the window length, the
-scaling extrema, then the four sections (train_labeled, train_unlabeled,
-valid, test). A section is a line ``section <name> <samples> <rows>``, one
-line ``sample <serial> <end date> <label|u> <first row>`` per sample, then
-its rows; a sample's features are rows ``first .. first + window - 1``. A
-sample whose first ``window - 1`` rows equal the previous sample's last
-``window - 1``, bit for bit, adds only its last row, so overlapping windows
-store each day once.
+Layout, in the ``rawfile`` form: magic ``LPAT-DATA v4``, the attribute
+list, the window length, then the four sections (train_labeled,
+train_unlabeled, valid, test), each a line ``section <name> <samples>
+<rows>`` and one line ``sample <serial> <end date> <label|u> <first row>``
+per sample, and last the ``payload`` line. The payload holds the scaling
+extrema (the ``vmin`` row, then the ``vmax`` row), then each section's rows
+in ``SECTIONS`` order, one value per attribute, so its size follows from
+the header: 8 x attributes x (2 + the sections' rows). A sample's features
+are rows ``first .. first + window - 1`` of its section. A sample whose
+first ``window - 1`` rows equal the previous sample's last ``window - 1``,
+bit for bit, adds only its last row, so overlapping windows store each day
+once.
 
-The file is read once as bytes through a ``hexrows.TextFile``, in exactly
-this layout, and ``end`` must be its last line. Every float is written in
-the ``hexrows`` encoding. A section's rows are one fixed-width slice,
-decoded into one block, and its samples are read-only views of that block.
-The header is read as strictly as ``save_split`` writes it: an empty
-attribute name, a window that is not plain digits and a ``vmin`` above its
-``vmax`` are refused, and a ``window``, ``section`` or ``sample`` line must
-read exactly as ``save_split`` writes the values read from it. Bad
-labels, counts, first rows and windows, malformed rows and non-finite
-values are rejected naming their line. v1 and v2 caches are not read:
-rebuild them with ``lpat prep``.
+The file is read once as bytes, in exactly this layout. A section's rows
+are one block, and its samples are read-only views of that block. The
+header is read as strictly as ``save_split`` writes it: an empty attribute
+name and a window that is not plain digits are refused, and a ``window``,
+``section`` or ``sample`` line must read exactly as ``save_split`` writes
+the values read from it. Bad labels, counts, first rows and windows are
+rejected naming their line, a non-finite value naming its section and row,
+and a ``vmin`` above its ``vmax`` too. Caches of versions 1 to 3 are not
+read: rebuild them with ``lpat prep``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from datetime import date
 
 import numpy as np
 
+from . import rawfile
 from .data import DatasetSplit, Sample, ScalingParams
-from .hexrows import TextFile, encode_row, write_lines
 
-MAGIC = "LPAT-DATA v3"
+MAGIC = "LPAT-DATA v4"
 SECTIONS = ("train_labeled", "train_unlabeled", "valid", "test")
 LABELS = {"0": 0, "1": 1, "2": 2, "u": None}
 SECTION_LABELS = {  # the labels each section may hold
@@ -59,17 +61,15 @@ def save_split(split: DatasetSplit, path) -> None:
         if "," in a or a.splitlines() != [a]:
             raise ValueError(f"cannot cache attribute {a!r}: a name must be non-empty "
                              f"without a comma or line break")
-    lines = [
-        MAGIC,
-        "attrs " + ",".join(split.attrs),
-        WINDOW_LINE.format(split.window),
-        "vmin " + encode_row(split.scaling.v_min),
-        "vmax " + encode_row(split.scaling.v_max),
-    ]
+    if not split.scaling.v_min.shape == split.scaling.v_max.shape == (len(split.attrs),):
+        raise ValueError(f"cannot cache scaling extrema of shapes {split.scaling.v_min.shape} "
+                         f"and {split.scaling.v_max.shape} for {len(split.attrs)} attributes")
+    lines = [MAGIC, "attrs " + ",".join(split.attrs), WINDOW_LINE.format(split.window)]
+    arrays = [split.scaling.v_min, split.scaling.v_max]
     shape = (split.window, len(split.attrs))
     for name in SECTIONS:
         samples = getattr(split, name)
-        heads, rows, prev = [], [], None
+        heads, n_rows, prev = [], 0, None
         for s in samples:
             x = np.asarray(s.features, dtype=float)
             label = "u" if s.label is None else str(int(s.label))
@@ -80,22 +80,19 @@ def save_split(split: DatasetSplit, path) -> None:
                     f"the serial must be non-empty without whitespace, the features "
                     f"{shape[0]} x {shape[1]} and the label one of "
                     f"{', '.join(SECTION_LABELS[name])}")
-            if prev is not None and x[:-1].tobytes() == prev[1:].tobytes():
-                rows.append(x[-1])
-            else:
-                rows.extend(x)
+            shared = prev is not None and x[:-1].tobytes() == prev[1:].tobytes()
+            arrays.append(x[-1:] if shared else x)
+            n_rows += len(arrays[-1])
             prev = x
             heads.append(SAMPLE_LINE.format(s.serial, s.window_end.isoformat(), label,
-                                            len(rows) - len(x)))
-        lines.append(SECTION_LINE.format(name, len(samples), len(rows)))
+                                            n_rows - len(x)))
+        lines.append(SECTION_LINE.format(name, len(samples), n_rows))
         lines.extend(heads)
-        lines.extend(encode_row(row) for row in rows)
-    lines.append("end")
-    write_lines(path, lines)
+    rawfile.write(path, lines, arrays)
 
 
 def load_split(path) -> DatasetSplit:
-    f = TextFile(path, CacheFormatError, "cache")
+    f = rawfile.Reader(path, CacheFormatError)
     if f.line() != MAGIC:
         raise CacheFormatError(
             f"{path}: missing magic line {MAGIC!r}; caches of other versions "
@@ -103,9 +100,8 @@ def load_split(path) -> DatasetSplit:
 
     def need(prefix):
         text = f.line()
-        if text is None or not text.startswith(prefix):
-            raise CacheFormatError(f"{path}: expected {prefix!r} at line "
-                                   f"{f.line_no + (text is None)}")
+        if not text.startswith(prefix):
+            raise CacheFormatError(f"{path}: expected {prefix!r} at line {f.line_no}")
         return text[len(prefix):]
 
     def as_written(read: str, written: str) -> None:
@@ -122,16 +118,9 @@ def load_split(path) -> DatasetSplit:
     if window < 1:
         raise CacheFormatError(f"{path}: window {window} at line 3 is below 1")
     as_written("window " + text, WINDOW_LINE.format(window))
-    v_min = f.row(need("vmin "), len(attrs))
-    v_max = f.row(need("vmax "), len(attrs))
-    try:
-        scaling = ScalingParams(v_min, v_max)
-    except ValueError as exc:  # both rows are finite: a v_min above its v_max
-        raise CacheFormatError(f"{path}: lines 4-5: {exc}") from None
-    split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
-                         scaling=scaling, attrs=attrs, window=window)
     dates: dict[str, date] = {}  # each distinct end date, parsed once
 
+    sections = {}  # name: (rows, the (serial, end, label, first) of each sample)
     for name in SECTIONS:
         head = need(f"section {name} ").split(" ")
         if len(head) != 2 or not all(t.isdigit() for t in head):
@@ -165,16 +154,22 @@ def load_split(path) -> DatasetSplit:
                                        f"leaves fewer than {window} rows")
             as_written("sample " + text, SAMPLE_LINE.format(serial, end_str, label_str, first))
             heads.append((serial, end, LABELS[label_str], first))
-        block = f.block(n_rows, len(attrs))
-        if block is None:
-            raise CacheFormatError(f"{path}: section {name} cut short at line {f.line_no + 1}")
+        sections[name] = n_rows, heads
+
+    n = len(attrs)
+    v_min, v_max, *blocks = f.payload(f.line(), {
+        "vmin": (n,), "vmax": (n,),
+        **{f"section {name}": (n_rows, n) for name, (n_rows, _) in sections.items()}})
+    try:
+        scaling = ScalingParams(v_min, v_max)
+    except ValueError as exc:  # both rows are finite: a v_min above its v_max
+        raise CacheFormatError(f"{path}: vmin and vmax: {exc}") from None
+    split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
+                         scaling=scaling, attrs=attrs, window=window)
+    for (name, (_, heads)), block in zip(sections.items(), blocks):
         # neighbouring windows share rows, so no sample may write to them
         block.flags.writeable = False
         getattr(split, name).extend(
             Sample(features=block[first:first + window], label=label, serial=serial,
                    window_end=end) for serial, end, label, first in heads)
-    if f.line() != "end":
-        raise CacheFormatError(f"{path}: missing end marker")
-    if f.line() is not None:
-        raise CacheFormatError(f"{path}: line {f.line_no} follows the end marker")
     return split

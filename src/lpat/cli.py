@@ -289,6 +289,9 @@ def cmd_predict(cfg: argparse.Namespace) -> None:
         v_min, v_max = ([float(v) for v in meta[k].split(",")] for k in ("vmin", "vmax"))
         if w < 1:
             raise CliError(f"{cfg.checkpoint}: window {w} is below 1")
+        if len(attrs) != net.dims["n_attrs"]:
+            raise CliError(f"{cfg.checkpoint}: attrs lists {len(attrs)} attributes, "
+                           f"the network takes {net.dims['n_attrs']}")
         if not len(v_min) == len(v_max) == len(attrs):
             raise CliError(f"{cfg.checkpoint}: vmin and vmax need one value for each "
                            f"of the {len(attrs)} attributes")

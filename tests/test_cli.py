@@ -8,6 +8,8 @@ import pytest
 from lpat import cache, cli, data, evaluate, model, synthetic, training
 from lpat.checkpoint import checkpoint_load, checkpoint_save
 
+from headers import edit_header
+
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
 
 
@@ -183,12 +185,12 @@ def test_prep_refuses_a_serial_that_is_not_ascii(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_cache_that_is_not_ascii_is_named(tmp_path, capsys, command):
     cache_path = tmp_path / "fleet.cache"
-    cache_path.write_bytes("LPAT-DATA v2\nattrs smart_5_r\u00e4w\n".encode("utf-8"))
+    cache_path.write_bytes("LPAT-DATA v4\nattrs smart_5_r\u00e4w\n".encode("utf-8"))
     ckpt_path = tmp_path / "model.ckpt"
     code, out, err = run(capsys, command, "--data", str(cache_path),
                          "--out" if command == "train" else "--checkpoint", str(ckpt_path))
     assert code == 1 and not out
-    assert f"lpat {command}: {cache_path}: not a text cache" in err
+    assert f"lpat {command}: {cache_path}: line 2 is not ASCII" in err
     assert not ckpt_path.exists()
 
 
@@ -210,12 +212,17 @@ def fleet_cache(tmp_path_factory):
 ])
 def test_train_refuses_a_label_outside_its_section_naming_the_line(
         fleet_cache, tmp_path, capsys, section, label):
-    lines = fleet_cache.read_text().splitlines()
-    head = [i for i, ln in enumerate(lines) if ln.startswith(f"section {section} ")][0] + 1
-    serial, end, _, first = lines[head].split()[1:]
-    lines[head] = f"sample {serial} {end} {label} {first}"
     bad = tmp_path / "bad.cache"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes(fleet_cache.read_bytes())
+
+    head = 1 + next(i for i, ln in enumerate(edit_header(bad, lambda lines: lines))
+                    if ln.startswith(f"section {section} "))
+
+    def relabel(lines):  # the section's first sample
+        serial, end, _, first = lines[head].split()[1:]
+        return lines[:head] + [f"sample {serial} {end} {label} {first}"] + lines[head + 1:]
+
+    edit_header(bad, relabel)
     ckpt_path = tmp_path / "never.ckpt"
     code, out, err = run(capsys, "train", "--data", str(bad), "--epochs", "1",
                          "--out", str(ckpt_path))
@@ -226,11 +233,10 @@ def test_train_refuses_a_label_outside_its_section_naming_the_line(
 
 def test_train_refuses_a_cache_window_below_one_naming_the_line(
         fleet_cache, tmp_path, capsys):
-    lines = fleet_cache.read_text().splitlines()
-    assert lines[2] == "window 10"
-    lines[2] = "window 0"
     bad = tmp_path / "bad.cache"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_bytes(fleet_cache.read_bytes())
+    lines = edit_header(bad, lambda lines: lines[:2] + ["window 0"] + lines[3:])
+    assert lines[2] == "window 10"
     code, out, err = run(capsys, "train", "--data", str(bad), "--epochs", "1",
                          "--out", str(tmp_path / "never.ckpt"))
     assert code == 1 and not out
@@ -481,6 +487,8 @@ def test_predict_non_finite_cell_errors_naming_the_line(fixture_pipeline, capsys
     ({"vmin": "-inf,0.0"}, "must be finite"),
     ({"vmin": "0.0", "vmax": "1e9"}, "one value for each of the 2 attributes"),
     ({"window": "0"}, "window 0 is below 1"),
+    ({"attrs": "x,y,z", "vmin": "0,0,0", "vmax": "1,1,1"},
+     "attrs lists 3 attributes, the network takes 2"),
 ])
 def test_predict_refuses_bad_scaling_meta_naming_the_checkpoint(
         fixture_pipeline, capsys, tmp_path, edit, message):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lpat import cache, data, synthetic
 
+from headers import edit_header
 from oracles import nearest_centroid_labels
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fixture_50.csv"
@@ -449,9 +450,8 @@ def test_cache_rejects_bad_magic_and_truncation(tmp_path):
                                     attrs=data.DEFAULT_ATTRS[:2], clusters=1,
                                     keep_frac=1.0, window=10, seed=0)
     cache.save_split(split, p)
-    lines = p.read_text().splitlines()
-    p.write_text("\n".join(lines[:-10]) + "\n")
-    with pytest.raises(cache.CacheFormatError):
+    p.write_bytes(p.read_bytes()[:-10])
+    with pytest.raises(cache.CacheFormatError, match="cut short"):
         cache.load_split(p)
 
 
@@ -470,9 +470,7 @@ def _special_split():
 
 
 def _edit_line(path, lineno, text):
-    lines = path.read_text().splitlines()
-    lines[lineno - 1] = text
-    path.write_text("\n".join(lines) + "\n")
+    edit_header(path, lambda lines: lines[:lineno - 1] + [text] + lines[lineno:])
 
 
 def test_a_failed_cache_save_leaves_the_old_file(tmp_path):
@@ -486,13 +484,14 @@ def test_a_failed_cache_save_leaves_the_old_file(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_cache_v2_round_trip_is_bit_exact_for_special_values(tmp_path):
+def test_cache_round_trip_is_bit_exact_for_special_values(tmp_path):
     split = _special_split()
     path = tmp_path / "s.cache"
     cache.save_split(split, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "LPAT-DATA v3"
-    assert lines[7] == "8000000000000000 0000000000000001"
+    assert edit_header(path, lambda lines: lines)[0] == "LPAT-DATA v4"
+    # the payload: vmin, vmax, then the first row of train_labeled, little-endian
+    payload = path.read_bytes()[-8 * 2 * (2 + 3 + 3):]
+    assert payload[32:48] == bytes.fromhex("0000000000000080 0100000000000000")
     back = cache.load_split(path)
     assert back.scaling.v_min.tobytes() == split.scaling.v_min.tobytes()
     assert back.scaling.v_max.tobytes() == split.scaling.v_max.tobytes()
@@ -502,17 +501,25 @@ def test_cache_v2_round_trip_is_bit_exact_for_special_values(tmp_path):
             assert sa.features.tobytes() == sb.features.tobytes()
 
 
-def test_cache_v1_is_refused_with_a_pointer_to_prep(tmp_path):
+@pytest.mark.parametrize("old", [
+    "LPAT-DATA v1\nattrs a\nwindow 1\nvmin 0.0\nvmax 1.0\n",
+    # every window stored in full under a three-field sample line
+    "LPAT-DATA v2\nattrs a\nwindow 1\nvmin 0000000000000000\n"
+    "vmax 3ff0000000000000\nsection train_labeled 1\n"
+    "sample S1 2016-03-01 2\n3fe0000000000000\nsection train_unlabeled 0\n"
+    "section valid 0\nsection test 0\nend\n",
+    # every float as hex text, each day of a drive once
+    "LPAT-DATA v3\nattrs a\nwindow 1\nvmin 0000000000000000\n"
+    "vmax 3ff0000000000000\nsection train_labeled 1 1\n"
+    "sample S1 2016-03-01 2 0\n3fe0000000000000\nsection train_unlabeled 0 0\n"
+    "section valid 0 0\nsection test 0 0\nend\n",
+], ids=["v1", "v2", "v3"])
+def test_an_older_cache_is_refused_with_a_pointer_to_prep(tmp_path, old):
     p = tmp_path / "old.cache"
-    p.write_text("LPAT-DATA v1\nattrs a\nwindow 1\nvmin 0.0\nvmax 1.0\n")
-    with pytest.raises(cache.CacheFormatError, match="lpat prep"):
-        cache.load_split(p)
-    # a v2 cache: every window stored in full under a three-field sample line
-    p.write_text("LPAT-DATA v2\nattrs a\nwindow 1\nvmin 0000000000000000\n"
-                 "vmax 3ff0000000000000\nsection train_labeled 1\n"
-                 "sample S1 2016-03-01 2\n3fe0000000000000\nsection train_unlabeled 0\n"
-                 "section valid 0\nsection test 0\nend\n")
-    with pytest.raises(cache.CacheFormatError, match="lpat prep"):
+    p.write_text(old)
+    with pytest.raises(cache.CacheFormatError, match=re.escape(
+            f"{p}: missing magic line 'LPAT-DATA v4'; caches of other versions are not "
+            f"read: rebuild this one from its CSV with `lpat prep`")):
         cache.load_split(p)
 
 
@@ -530,7 +537,7 @@ def test_cache_stores_each_day_of_a_section_once(tmp_path):
     split = _prepped_split()
     path = tmp_path / "data.cache"
     cache.save_split(split, path)
-    heads = [ln.split() for ln in path.read_text().splitlines()
+    heads = [ln.split() for ln in edit_header(path, lambda lines: lines)
              if ln.startswith("section ")]
     assert [h[1] for h in heads] == list(cache.SECTIONS)
     for _, name, samples, rows in heads:
@@ -586,6 +593,16 @@ def test_cache_save_refuses_an_attribute_name_it_could_not_load(tmp_path, name):
     assert path.read_bytes() == before
 
 
+def test_cache_save_refuses_scaling_extrema_it_could_not_load(tmp_path):
+    path = tmp_path / "data.cache"
+    split = _special_split()
+    split.scaling = data.ScalingParams([0.0], [1.0])
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot cache scaling extrema of shapes (1,) and (1,) for 2 attributes")):
+        cache.save_split(split, path)
+    assert not path.exists()
+
+
 def test_cache_save_refuses_a_split_with_no_attributes(tmp_path):
     path = tmp_path / "data.cache"
     split = _special_split()
@@ -598,29 +615,32 @@ def test_cache_save_refuses_a_split_with_no_attributes(tmp_path):
     assert not path.exists()
 
 
-def test_cache_rejects_a_section_cut_short_naming_the_line(tmp_path):
+def test_cache_payload_size_follows_from_the_section_rows(tmp_path):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)
-    lines = path.read_text().splitlines()
-    assert lines[12:14] == ["section test 1 3", "sample S2 2016-03-02 u 0"]
-    path.write_text("\n".join(lines[:15] + ["end"]) + "\n")
-    with pytest.raises(cache.CacheFormatError, match="section test cut short at line 15"):
+    # 2 attributes x (vmin, vmax and 3 + 3 section rows), then one row more
+    lines = edit_header(path, lambda lines: [
+        "section test 1 4" if ln == "section test 1 3" else ln for ln in lines])
+    assert lines[-4:-1] == ["section valid 0 0", "section test 1 3", "sample S2 2016-03-02 u 0"]
+    assert lines[-1].startswith("payload 128 ")
+    with pytest.raises(cache.CacheFormatError, match=re.escape(
+            f"{path}: line 10 should read 'payload 144 <crc32>'")):
         cache.load_split(path)
 
 
-# line 6 opens section train_labeled (1 sample, 3 rows), line 7 is the
+# line 4 opens section train_labeled (1 sample, 3 rows), line 5 is the
 # header of its sample S1 (first row 0)
 @pytest.mark.parametrize("lineno, text, match", [
-    (6, "section train_labeled -1 3", "bad section counts at line 6"),
-    (6, "section train_labeled 1 x", "bad section counts at line 6"),
-    (6, "section train_labeled 1 2.5", "bad section counts at line 6"),
-    (6, "section train_labeled 1", "bad section counts at line 6"),
-    (7, "sample S1 2016-03-01 2 -1", "first row '-1' at line 7"),
-    (7, "sample S1 2016-03-01 2 x", "first row 'x' at line 7"),
-    (7, "sample S1 2016-03-01 2 1", "first row '1' at line 7 leaves fewer than 3 rows"),
-    (7, "sample S1 2016-03-01 2", "malformed sample header at line 7"),
-    (7, "sample S1 2016-03-01 2 00", "line 7 should read 'sample S1 2016-03-01 2 0'"),
-    (6, "section train_labeled 01 3", "line 6 should read 'section train_labeled 1 3'"),
+    (4, "section train_labeled -1 3", "bad section counts at line 4"),
+    (4, "section train_labeled 1 x", "bad section counts at line 4"),
+    (4, "section train_labeled 1 2.5", "bad section counts at line 4"),
+    (4, "section train_labeled 1", "bad section counts at line 4"),
+    (5, "sample S1 2016-03-01 2 -1", "first row '-1' at line 5"),
+    (5, "sample S1 2016-03-01 2 x", "first row 'x' at line 5"),
+    (5, "sample S1 2016-03-01 2 1", "first row '1' at line 5 leaves fewer than 3 rows"),
+    (5, "sample S1 2016-03-01 2", "malformed sample header at line 5"),
+    (5, "sample S1 2016-03-01 2 00", "line 5 should read 'sample S1 2016-03-01 2 0'"),
+    (4, "section train_labeled 01 3", "line 4 should read 'section train_labeled 1 3'"),
 ], ids=["negative-count", "non-integer-rows", "fractional-rows", "no-row-count",
         "negative-first-row", "non-integer-first-row", "first-row-too-late",
         "no-first-row", "first-row-leading-zero", "count-leading-zero"])
@@ -633,30 +653,39 @@ def test_cache_rejects_bad_counts_and_first_rows_naming_the_line(
         cache.load_split(path)
 
 
-# line 7 is the header of sample S1, lines 8-10 its feature rows
-@pytest.mark.parametrize("lineno, text, match", [
-    (7, "sample S1 2016-03-01 7 0", "bad label '7' at line 7"),
-    (7, "sample S1 2016-03-01 -1 0", "bad label '-1' at line 7"),
-    (9, "7ff8000000000000 0000000000000000", "line 9 holds a non-finite value"),
-    (9, "0000000000000000 fff0000000000000", "line 9 holds a non-finite value"),
-    (4, "vmin fff0000000000000 0000000000000000", "line 4 holds a non-finite value"),
-    (5, "vmax 7ff8000000000000 0000000000000000", "line 5 holds a non-finite value"),
-    # 14 and 18 digits: the row keeps its length, the separator moves
-    (9, "3ff00000000000 000000000000000000", "line 9 holds a value that is not 16"),
-    (9, "3ff000000000000g 0000000000000000", "line 9 holds a value that is not 16"),
-    (9, "3ff0000000000000", "line 9 holds 1 values, expected 2"),
-    # each extremum finite, but the second vmin (-0.0) above its vmax
-    (5, "vmax 7fefffffffffffff 8000000000000001", "lines 4-5: v_min must not exceed v_max"),
+# rows count from 0 within a section, as a sample line's first row does
+@pytest.mark.parametrize("part, row, col, where", [
+    ("vmin", None, 0, "vmin"), ("vmax", None, 1, "vmax"),
+    ("train_labeled", 1, 0, "section train_labeled row 1"),
+    ("test", 2, 1, "section test row 2"),
 ])
-def test_cache_rejects_bad_values_naming_the_line(tmp_path, lineno, text, match):
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cache_rejects_a_non_finite_value_naming_its_section_and_row(tmp_path, part, row,
+                                                                      col, where, value):
+    split = _special_split()
+    if row is None:  # set after ScalingParams has checked the extrema
+        getattr(split.scaling, "v_min" if part == "vmin" else "v_max")[col] = value
+    else:
+        getattr(split, part)[0].features[row, col] = value
     path = tmp_path / "s.cache"
-    cache.save_split(_special_split(), path)
-    _edit_line(path, lineno, text)
-    with pytest.raises(cache.CacheFormatError, match=match):
+    cache.save_split(split, path)
+    with pytest.raises(cache.CacheFormatError,
+                       match=re.escape(f"{path}: {where} holds a non-finite value")):
         cache.load_split(path)
 
 
-# line 2 lists the attributes, line 3 holds the window (3), line 7 the
+def test_cache_rejects_a_vmin_above_its_vmax(tmp_path):
+    split = _special_split()
+    # each extremum finite, but the second vmin (-0.0) above its vmax
+    split.scaling.v_max[1] = -5e-324
+    path = tmp_path / "s.cache"
+    cache.save_split(split, path)
+    with pytest.raises(cache.CacheFormatError, match=re.escape(
+            f"{path}: vmin and vmax: v_min must not exceed v_max")):
+        cache.load_split(path)
+
+
+# line 2 lists the attributes, line 3 holds the window (3), line 5 the
 # header of sample S1: each edit is text save_split never writes
 @pytest.mark.parametrize("lineno, text, match", [
     (3, "window 0_3", "window '0_3' at line 3 is not a whole number"),
@@ -667,13 +696,15 @@ def test_cache_rejects_bad_values_naming_the_line(tmp_path, lineno, text, match)
     (2, "attrs smart_5_raw,,smart_9_raw", "empty attribute name at line 2"),
     (2, "attrs smart_5_raw,smart_9_raw,", "empty attribute name at line 2"),
     (2, "attrs ,smart_5_raw,smart_9_raw", "empty attribute name at line 2"),
-    (7, "sample S1 20160301 2 0", "bad date at line 7"),
-    (7, "sample S1 2016-W09-2 2 0", "bad date at line 7"),
-    (7, "sample S1  2016-03-01 2 0", "line 7 should read 'sample S1 2016-03-01 2 0'"),
-    (7, "sample S1 2016-03-01 2 0 ", "line 7 should read 'sample S1 2016-03-01 2 0'"),
+    (5, "sample S1 20160301 2 0", "bad date at line 5"),
+    (5, "sample S1 2016-W09-2 2 0", "bad date at line 5"),
+    (5, "sample S1  2016-03-01 2 0", "line 5 should read 'sample S1 2016-03-01 2 0'"),
+    (5, "sample S1 2016-03-01 2 0 ", "line 5 should read 'sample S1 2016-03-01 2 0'"),
+    (5, "sample S1 2016-03-01 7 0", "bad label '7' at line 5"),
+    (5, "sample S1 2016-03-01 -1 0", "bad label '-1' at line 5"),
 ], ids=["underscore", "plus-sign", "leading-space", "trailing-space", "window-leading-zero",
         "inner-empty-name", "trailing-comma", "leading-comma", "basic-date", "week-date",
-        "doubled-space", "sample-trailing-space"])
+        "doubled-space", "sample-trailing-space", "label-7", "label-minus-1"])
 def test_cache_header_is_read_as_strictly_as_it_is_written(tmp_path, lineno, text, match):
     path = tmp_path / "s.cache"
     cache.save_split(_special_split(), path)
@@ -683,16 +714,23 @@ def test_cache_header_is_read_as_strictly_as_it_is_written(tmp_path, lineno, tex
         cache.load_split(path)
 
 
-def test_cache_rejects_a_value_moved_to_the_next_row(tmp_path):
-    # the joined block is unchanged, so only the per-row width check sees it
-    path = tmp_path / "s.cache"
-    cache.save_split(_special_split(), path)
-    lines = path.read_text().splitlines()
-    first, second = lines[7].split(), lines[8].split()
-    _edit_line(path, 8, first[0])
-    _edit_line(path, 9, " ".join([first[1]] + second))
-    with pytest.raises(cache.CacheFormatError, match="line 8 holds 1 values, expected 2"):
-        cache.load_split(path)
+# the tiny cache under tests/fixtures holds _special_split
+GOLDEN_CACHE = FIXTURE.parent / "tiny_v4.cache"
+
+
+def test_golden_cache_loads_to_known_values_and_saves_to_its_bytes(tmp_path):
+    split, back = _special_split(), cache.load_split(GOLDEN_CACHE)
+    assert (back.attrs, back.window) == (split.attrs, split.window)
+    assert back.scaling.v_min.tobytes() == split.scaling.v_min.tobytes()
+    assert back.scaling.v_max.tobytes() == split.scaling.v_max.tobytes()
+    for part in cache.SECTIONS:
+        for sa, sb in zip(getattr(split, part), getattr(back, part), strict=True):
+            assert (sa.serial, sa.window_end, sa.label) == (sb.serial, sb.window_end, sb.label)
+            assert sa.features.tobytes() == sb.features.tobytes()
+    for source in (split, back):
+        path = tmp_path / "again.cache"
+        cache.save_split(source, path)
+        assert path.read_bytes() == GOLDEN_CACHE.read_bytes()
 
 
 # ------------------------------------------------------------------- pipeline

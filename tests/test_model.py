@@ -1,7 +1,9 @@
 import re
 import tracemalloc
 import warnings
+import zlib
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from scipy.special import expit
 from lpat import cache, data, model
 from lpat import checkpoint as ckpt
 
+from headers import edit_header
 from oracles import central_diff_grad, fd_grad_wrt, lstm_step, rel_error
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 TINY = dict(n_attrs=2, hidden1=4, hidden2=4, lstm_units=5, classes=3)
 
@@ -541,65 +546,46 @@ def test_checkpoint_wrong_magic_raises_format_error(tmp_path):
         ckpt.checkpoint_load(path)
 
 
-def test_checkpoint_truncated_file_raises(tmp_path):
-    net = tiny_net(12)
+def test_checkpoint_cut_short_in_its_header_names_its_last_line(tmp_path):
     path = tmp_path / "net.ckpt"
-    ckpt.checkpoint_save(net, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:10]) + "\n")
-    with pytest.raises(ckpt.CheckpointFormatError, match="cut short after line"):
+    ckpt.checkpoint_save(tiny_net(12), path, meta={"window": "3"})
+    data = path.read_bytes()
+    path.write_bytes(data[:data.index(b"\nmeta ") + 4])  # lines 1-2 and "met"
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}: cut short after line 2")):
         ckpt.checkpoint_load(path)
 
 
-def _replace_row(path, tensor, row, text):
-    """Overwrite row ``row`` of ``tensor`` in a saved checkpoint."""
-    lines = path.read_text().splitlines()
-    head = next(i for i, line in enumerate(lines) if line.startswith(f"tensor {tensor} "))
-    lines[head + 1 + row] = text
-    path.write_text("\n".join(lines) + "\n")
-
-
-def test_checkpoint_v2_round_trips_special_bit_patterns(tmp_path):
+def test_checkpoint_round_trips_special_bit_patterns(tmp_path):
     net = tiny_net(12)
     special = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).max, 2.0 ** -1070]
     net.dense1.W.flat[:len(special)] = special
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(net, path)
-    assert path.read_text().splitlines()[0] == "LPAT-CKPT v2"
-    first = path.read_text().splitlines()[3]  # the first dense1.W row
-    assert first.split()[:2] == ["8000000000000000", "0000000000000001"]
+    lines = edit_header(path, lambda lines: lines)
+    assert lines[0] == "LPAT-CKPT v3" and lines[-1].startswith("payload ")
+    # the payload opens with dense1.W, little-endian
+    assert path.read_bytes()[-8 * sum(a.size for a in net.params().values()):][:16] == \
+        bytes.fromhex("0000000000000080 0100000000000000")
     loaded, _ = ckpt.checkpoint_load(path)
     for name, arr in net.params().items():
         assert arr.tobytes() == loaded.params()[name].tobytes(), name
+        assert loaded.params()[name].flags.writeable, name
 
 
-def test_checkpoint_v1_is_refused_naming_the_file(tmp_path):
-    path = tmp_path / "v1.ckpt"
-    ckpt.checkpoint_save(tiny_net(4), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(["LPAT-CKPT v1"] + lines[1:]) + "\n")
-    with pytest.raises(ckpt.CheckpointFormatError,
-                       match=re.escape(f"{path}: ") + ".*v1 checkpoints are no longer read"):
-        ckpt.checkpoint_load(path)
-
-
-@pytest.mark.parametrize("bad, error", [
-    # one value two digits short, the next two digits long: same row length
-    # and an even digit count, which bytes.fromhex alone would accept
-    (lambda vals: " ".join([vals[0][:14], vals[1] + "00"] + vals[2:]),
-     ckpt.CheckpointFormatError),
-    (lambda vals: " ".join(vals)[:-1], ckpt.CheckpointFormatError),
-    (lambda vals: " ".join(["3ff000000000000g"] + vals[1:]), ckpt.CheckpointFormatError),
-    (lambda vals: " ".join(["3ff00000\t0000000"] + vals[1:]), ckpt.CheckpointFormatError),
-    (lambda vals: " ".join(vals[:-1]), ckpt.CheckpointFormatError),
-])
-def test_checkpoint_v2_malformed_row_raises(tmp_path, bad, error):
-    path = tmp_path / "net.ckpt"
-    ckpt.checkpoint_save(tiny_net(12), path)
-    vals = path.read_text().splitlines()[3].split()
-    _replace_row(path, "dense1.W", 0, bad(vals))
-    # line 4 holds the first dense1.W row
-    with pytest.raises(error, match=re.escape(f"{path}: line 4 holds ")):
+# the first lines of checkpoints of earlier versions: their tensors are text
+@pytest.mark.parametrize("old", [
+    "LPAT-CKPT v1\narch n_attrs 1 hidden1 1 hidden2 1 lstm_units 1 classes 1\n"
+    "tensor dense1.W 1 1\n0x1.0000000000000p+0\n",
+    "LPAT-CKPT v2\narch n_attrs 1 hidden1 1 hidden2 1 lstm_units 1 classes 1\n"
+    "tensor dense1.W 1 1\n3ff0000000000000\n",
+], ids=["v1", "v2"])
+def test_an_older_checkpoint_is_refused_pointing_to_train(tmp_path, old):
+    path = tmp_path / "old.ckpt"
+    path.write_text(old)
+    with pytest.raises(ckpt.CheckpointFormatError, match=re.escape(
+            f"{path}: missing magic line 'LPAT-CKPT v3' (checkpoints of other versions "
+            f"are no longer read: retrain with `lpat train`)")):
         ckpt.checkpoint_load(path)
 
 
@@ -609,25 +595,29 @@ def test_checkpoint_non_finite_tensor_is_rejected_by_name(tmp_path, value):
     net.lstm.U[2, 1] = value
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(net, path)
-    head = path.read_text().splitlines().index("tensor lstm.U 20 5")
-    # row 2 of lstm.U sits three lines below its 0-based header index
     with pytest.raises(ckpt.CheckpointFormatError,
-                       match=re.escape(f"{path}: line {head + 4} holds a non-finite value")):
+                       match=re.escape(f"{path}: tensor lstm.U row 2 holds a non-finite value")):
+        ckpt.checkpoint_load(path)
+    net.lstm.U[2, 1] = 0.0
+    net.dense3.b[1] = value
+    ckpt.checkpoint_save(net, path)
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}: tensor dense3.b holds a non-finite value")):
         ckpt.checkpoint_load(path)
 
 
-@pytest.mark.parametrize("line, bad", [
-    ("tensor dense1.W ", "tensor dense1.W x 2"),
-    ("arch ", "arch n_attrs 2 n_attrs 2 hidden2 4 lstm_units 5 classes 3"),
-], ids=["tensor-header", "arch-repeated-key"])
-def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad):
+@pytest.mark.parametrize("line, bad, message", [
+    ("arch ", "arch n_attrs 2 n_attrs 2 hidden2 4 lstm_units 5 classes 3", "expected 'arch "),
+    ("meta ", "meta window", "malformed meta line"),
+], ids=["arch-repeated-key", "meta-without-value"])
+def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad, message):
     path = tmp_path / "net.ckpt"
-    ckpt.checkpoint_save(tiny_net(12), path)
-    lines = path.read_text().splitlines()
+    ckpt.checkpoint_save(tiny_net(12), path, meta={"window": "3"})
+    lines = edit_header(path, lambda lines: [bad if text.startswith(line) else text
+                                             for text in lines])
     at = next(i for i, text in enumerate(lines) if text.startswith(line))
-    lines[at] = bad
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ckpt.CheckpointFormatError, match=re.escape(f"{path}:{at + 1}: ")):
+    with pytest.raises(ckpt.CheckpointFormatError,
+                       match=re.escape(f"{path}:{at + 1}: {message}")):
         ckpt.checkpoint_load(path)
 
 
@@ -635,17 +625,9 @@ def test_checkpoint_malformed_header_names_file_and_line(tmp_path, line, bad):
 def test_checkpoint_arch_width_below_one_is_refused_at_line_2(tmp_path, width):
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(tiny_net(12), path)
-    # hidden1 = 4 is dense1's row count and dense2's column count: the tensor
-    # headers agree with the edited arch line
-    edits = {"arch n_attrs 2 hidden1 4 ": f"arch n_attrs 2 hidden1 {width} ",
-             "tensor dense1.W 4 2": f"tensor dense1.W {width} 2",
-             "tensor dense1.b 4": f"tensor dense1.b {width}",
-             "tensor dense2.W 4 4": f"tensor dense2.W 4 {width}"}
-    text = path.read_text()
-    for old, new in edits.items():
-        assert old in text
-        text = text.replace(old, new, 1)
-    path.write_text(text)
+    edit_header(path, lambda lines: [lines[0], lines[1].replace(" hidden1 4 ",
+                                                                f" hidden1 {width} ")]
+                + lines[2:])
     with pytest.raises(ckpt.CheckpointFormatError,
                        match=re.escape(f"{path}:2: expected 'arch n_attrs <n> ")):
         ckpt.checkpoint_load(path)
@@ -659,38 +641,12 @@ def _one_sample_split():
         scaling=data.ScalingParams([0.0], [top]), attrs=("smart_5_raw",), window=2)
 
 
-@pytest.mark.parametrize("save, load, error, match", [
-    (lambda p: ckpt.checkpoint_save(tiny_net(3), p), ckpt.checkpoint_load,
-     ckpt.CheckpointFormatError, "{path}:{n}: line follows the end marker"),
-    (lambda p: cache.save_split(_one_sample_split(), p), cache.load_split,
-     cache.CacheFormatError, "{path}: line {n} follows the end marker"),
-], ids=["checkpoint", "cache"])
-def test_a_line_after_end_is_refused_naming_it(tmp_path, save, load, error, match):
-    path = tmp_path / "file"
-    save(path)
-    load(path)
-    text = path.read_text()
-    path.write_text(text + text)  # cat a a > b
-    with pytest.raises(error, match=re.escape(
-            match.format(path=path, n=len(text.splitlines()) + 1))):
-        load(path)
-
-
-@pytest.mark.parametrize("entry, size, repeat, message", [
-    ("meta window ", 1, ["meta window 5"], "meta key 'window' given twice"),
-    # tensors come in one order, so a repeated block stands where the next belongs
-    ("tensor dense1.b ", 2, None, "expected 'tensor dense2.W "),
-], ids=["meta", "tensor"])
-def test_checkpoint_repeated_entry_names_file_and_line(tmp_path, entry, size, repeat,
-                                                       message):
+def test_checkpoint_repeated_meta_key_names_file_and_line(tmp_path):
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(tiny_net(12), path, meta={"window": "20"})
-    lines = path.read_text().splitlines()
-    at = next(i for i, text in enumerate(lines) if text.startswith(entry)) + size
-    lines[at:at] = repeat or lines[at - size:at]
-    path.write_text("\n".join(lines) + "\n")
+    edit_header(path, lambda lines: lines[:3] + ["meta window 5"] + lines[3:])
     with pytest.raises(ckpt.CheckpointFormatError,
-                       match=re.escape(f"{path}:{at + 1}: {message}")):
+                       match=re.escape(f"{path}:4: meta key 'window' given twice")):
         ckpt.checkpoint_load(path)
 
 
@@ -700,51 +656,157 @@ def test_checkpoint_meta_key_that_save_refuses_is_refused_naming_its_line(tmp_pa
                                                                           meta_line):
     path = tmp_path / "net.ckpt"
     ckpt.checkpoint_save(tiny_net(12), path)
-    lines = path.read_text().splitlines()
-    lines.insert(2, meta_line)
-    path.write_text("\n".join(lines) + "\n")
+    edit_header(path, lambda lines: lines[:2] + [meta_line] + lines[2:])
     with pytest.raises(ckpt.CheckpointFormatError,
                        match=re.escape(f"{path}:3: meta key ") + ".* is empty or holds whitespace"):
         ckpt.checkpoint_load(path)
 
 
-# each format: how to write a small file, how to load it, its error class,
-# and the numbers of one header line and of the first row of a block
+# the tiny checkpoint under tests/fixtures: widths 1/1/1/1, two classes, and
+# these twenty parameters in model.param_shapes order
+GOLDEN_CKPT = FIXTURES / "tiny_v3.ckpt"
+GOLDEN_DIMS = dict(n_attrs=1, hidden1=1, hidden2=1, lstm_units=1, classes=2)
+GOLDEN_META = {"window": "3", "attrs": "smart_5_raw", "note": "a\tb"}
+GOLDEN_PARAMS = [-0.0, 5e-324, np.finfo(float).max, -np.finfo(float).max, 2.0 ** -1070,
+                 1.0, -1.0, 0.5, 0.25, 1.0 / 3.0, -2.75, 1e-300, 1e300, 3.0, -3.0,
+                 0.1, -0.1, 7.0, 2.0 ** 52, -2.0 ** -52]
+
+
+def _golden_net() -> model.Network:
+    shapes = model.param_shapes(GOLDEN_DIMS)
+    splits = np.cumsum([int(np.prod(s)) for s in shapes.values()])[:-1]
+    return model.Network.from_params({
+        name: part.reshape(shape) for (name, shape), part in
+        zip(shapes.items(), np.split(np.array(GOLDEN_PARAMS), splits))})
+
+
+def test_golden_checkpoint_loads_to_known_values_and_saves_to_its_bytes(tmp_path):
+    net, meta = ckpt.checkpoint_load(GOLDEN_CKPT)
+    assert net.dims == GOLDEN_DIMS and meta == GOLDEN_META
+    flat = np.concatenate([a.ravel() for a in net.params().values()])
+    assert flat.tobytes() == np.array(GOLDEN_PARAMS).tobytes()
+    for source in (net, _golden_net()):
+        path = tmp_path / "again.ckpt"
+        ckpt.checkpoint_save(source, path, meta=GOLDEN_META)
+        assert path.read_bytes() == GOLDEN_CKPT.read_bytes()
+
+
+# each format: how to write a small file, how to load it, and its error class
 FORMATS = {
     "checkpoint": (lambda p: ckpt.checkpoint_save(tiny_net(3), p, meta={"window": "3"}),
-                   ckpt.checkpoint_load, ckpt.CheckpointFormatError, 2, 5),
+                   ckpt.checkpoint_load, ckpt.CheckpointFormatError),
     "cache": (lambda p: cache.save_split(_one_sample_split(), p), cache.load_split,
-              cache.CacheFormatError, 2, 8),
+              cache.CacheFormatError),
 }
 
 
 @pytest.mark.parametrize("end", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e"],
                          ids=["CR", "VT", "FF", "FS", "GS", "RS"])
 @pytest.mark.parametrize("place", ["before-newline", "for-newline"])
-@pytest.mark.parametrize("line", ["header", "row"])
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_a_line_end_other_than_newline_is_refused_naming_its_line(tmp_path, fmt, line,
-                                                                   place, end):
-    save, load, error, header, row = FORMATS[fmt]
+def test_a_line_end_other_than_newline_is_refused_naming_its_line(tmp_path, fmt, place,
+                                                                   end):
+    save, load, error = FORMATS[fmt]
     path = tmp_path / "file"
     save(path)
-    lineno = header if line == "header" else row
-    lines = path.read_bytes().split(b"\n")
-    lines[lineno - 1] += end.encode() + (b"\n" + lines.pop(lineno) if place == "for-newline"
-                                         else b"")
-    path.write_bytes(b"\n".join(lines))
+
+    def edit(lines):  # line 2, or lines 2 and 3 joined by the foreign end
+        lines[1] += end + (lines.pop(2) if place == "for-newline" else "")
+        return lines
+
+    edit_header(path, edit)
     with pytest.raises(error, match=re.escape(
-            f"{path}: line {lineno} holds {end!r}, a line end other than '\\n'")):
+            f"{path}: line 2 holds {end!r}, a line end other than '\\n'")):
         load(path)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_crlf_line_ends_are_refused_at_line_1(tmp_path, fmt):
-    save, load, error, _, _ = FORMATS[fmt]
+    save, load, error = FORMATS[fmt]
     path = tmp_path / "file"
     save(path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(error, match=re.escape(f"{path}: line 1 holds '\\r'")):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_header_line_that_is_not_ascii_is_refused_naming_it(tmp_path, fmt):
+    save, load, error = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    edit_header(path, lambda lines: [lines[0], lines[1] + "\u00e4"] + lines[2:])
+    with pytest.raises(error, match=re.escape(f"{path}: line 2 is not ASCII (")):
+        load(path)
+
+
+def _payload_start(data: bytes) -> int:
+    return data.index(b"\n", data.index(b"\npayload ") + 1) + 1
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("cut, message", [
+    (lambda data: data[:-1], lambda n, data: f"cut short: the payload holds {n - 1} of its {n} bytes"),
+    (lambda data: data[:_payload_start(data)],
+     lambda n, data: f"cut short: the payload holds 0 of its {n} bytes"),
+    (lambda data: data + b"\0", lambda n, data: "1 bytes follow the payload"),
+    (lambda data: data + data, lambda n, data: f"{len(data)} bytes follow the payload"),  # cat a a
+], ids=["one-byte-short", "no-payload", "one-byte-extra", "file-twice"])
+def test_a_payload_of_the_wrong_length_is_refused(tmp_path, fmt, cut, message):
+    save, load, error = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    data = path.read_bytes()
+    n = len(data) - _payload_start(data)
+    path.write_bytes(cut(data))
+    with pytest.raises(error, match=re.escape(f"{path}: {message(n, data)}")):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("edit", [
+    lambda n, crc: f"payload {n + 8} {crc}",
+    lambda n, crc: f"payload {n - 8} {crc}",
+    lambda n, crc: f"payload 0{n} {crc}",
+    lambda n, crc: f"payload {n} {crc[:-1]}F",
+    lambda n, crc: f"payload {n} {crc[:-1]}",
+    lambda n, crc: f"payload {n} {crc} ",
+    lambda n, crc: f"payload  {n} {crc}",
+    lambda n, crc: "end",
+], ids=["larger", "smaller", "leading-zero", "upper-case-crc", "short-crc", "trailing-space",
+        "doubled-space", "end-line"])
+def test_a_payload_line_that_does_not_read_as_written_is_refused(tmp_path, fmt, edit):
+    save, load, error = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    data = path.read_bytes()
+    n = len(data) - _payload_start(data)
+
+    def bad(lines):
+        crc = lines[-1].split()[2]
+        assert crc == "{:08x}".format(zlib.crc32(data[-n:]))
+        return lines[:-1] + [edit(n, crc)]
+
+    lines = edit_header(path, bad)
+    with pytest.raises(error, match=re.escape(
+            f"{path}: line {len(lines)} should read 'payload {n} <crc32>', "
+            f"the CRC32 in 8 lowercase hex digits")):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_crc32_mismatch_is_refused(tmp_path, fmt):
+    save, load, error = FORMATS[fmt]
+    path = tmp_path / "file"
+    save(path)
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x10
+    path.write_bytes(bytes(data))
+    lines = edit_header(path, lambda lines: lines)
+    crc = "{:08x}".format(zlib.crc32(data[_payload_start(data):]))
+    with pytest.raises(error, match=re.escape(
+            f"{path}: the payload's CRC32 is {crc}, line {len(lines)} gives "
+            f"{lines[-1].split()[2]}")):
         load(path)
 
 
@@ -769,39 +831,34 @@ def _items(fmt, loaded) -> dict:
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_a_file_missing_its_final_newline_still_loads(tmp_path, fmt):
-    save, load, _, _, _ = FORMATS[fmt]
-    whole, cut = tmp_path / "whole", tmp_path / "cut"
-    save(whole)
-    text = whole.read_bytes()
-    assert text.endswith(b"\nend\n")
-    cut.write_bytes(text[:-1])
-    assert _items(fmt, load(cut)) == _items(fmt, load(whole))
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
 @given(where=st.floats(0, 1, exclude_max=True), value=st.integers(0, 255))
-# in the cache: vmax's sign digit, flipped to "a" (negative), below its vmin
-@example(where=0.28515625, value=ord("a"))
+# in the cache: the window digit (byte 38 of 206), 2 turned 1, which every
+# first row allows
+@example(where=38.5 / 206, value=ord("1"))
+# the last payload byte, the top byte of the last float
+@example(where=0.999, value=0)
 @settings(max_examples=300, deadline=None)
 def test_one_changed_byte_is_refused_or_changes_at_most_one_value(tmp_path_factory, fmt,
                                                                   where, value):
-    """A misaligned block never decodes into shifted values: a file with one
-    byte changed either raises the format's error naming the file, or loads
-    with at most one float, meta value, attribute list or window, or one
-    sample's serial, date or label changed."""
-    save, load, error, _, _ = FORMATS[fmt]
+    """A file with one byte changed raises the format's error naming the
+    file. Only a changed header byte may instead load, with at most one meta
+    value, attribute list or window, or one sample's serial, date or label
+    changed."""
+    save, load, error = FORMATS[fmt]
     path = tmp_path_factory.getbasetemp() / f"one-byte-{fmt}"
     save(path)
     want = _items(fmt, load(path))
     data = bytearray(path.read_bytes())
-    data[int(where * len(data))] = value
+    at = int(where * len(data))
+    in_payload = at >= _payload_start(data) and data[at] != value
+    data[at] = value
     path.write_bytes(bytes(data))
     try:
         got = _items(fmt, load(path))
     except error as exc:
         assert str(exc).startswith(f"{path}:")
         return
+    assert not in_payload, "a changed payload byte loaded"
     changed = want.keys() ^ got.keys()
     if changed:  # a changed window changes the rows of every window
         assert want.get("window") != got.get("window")
