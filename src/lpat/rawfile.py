@@ -29,7 +29,6 @@ import numpy as np
 
 # the ASCII line ends of str.splitlines other than "\n"; no writer emits one
 _FOREIGN_END = re.compile("[\r\v\f\x1c-\x1e]")
-_CRC32 = re.compile("[0-9a-f]{8}")
 _FLOAT = np.dtype("<f8")
 
 
@@ -85,7 +84,9 @@ class Reader:
         sizes = [math.prod(shape) for shape in shapes.values()]
         nbytes = _FLOAT.itemsize * sum(sizes)
         prefix = f"payload {nbytes} "
-        if not (text.startswith(prefix) and _CRC32.fullmatch(text[len(prefix):])):
+        stated = text[len(prefix):]
+        if not (text.startswith(prefix) and len(stated) == 8
+                and set(stated) <= set("0123456789abcdef")):
             raise self.error(f"{self.path}: line {self.line_no} should read "
                              f"'{prefix}<crc32>', the CRC32 in 8 lowercase hex digits")
         have = len(self.data) - self.pos
@@ -95,9 +96,9 @@ class Reader:
         if have > nbytes:
             raise self.error(f"{self.path}: {have - nbytes} bytes follow the payload")
         crc = zlib.crc32(memoryview(self.data)[self.pos:])
-        if f"{crc:08x}" != text[len(prefix):]:
+        if f"{crc:08x}" != stated:
             raise self.error(f"{self.path}: the payload's CRC32 is {crc:08x}, "
-                             f"line {self.line_no} gives {text[len(prefix):]}")
+                             f"line {self.line_no} gives {stated}")
         values = np.frombuffer(self.data, _FLOAT, sum(sizes), self.pos).astype(float)
         arrays = np.split(values, np.cumsum(sizes)[:-1])
         arrays = [a.reshape(shape) for a, shape in zip(arrays, shapes.values())]
