@@ -267,7 +267,8 @@ def minmax_apply(values, params: ScalingParams) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     span = params.v_max - params.v_min
     safe = np.where(span > 0, span, 1.0)
-    scaled = (v - params.v_min) / safe
+    with np.errstate(over="ignore"):  # past a subnormal span: +-inf, clipped below
+        scaled = (v - params.v_min) / safe
     scaled = np.where(span > 0, scaled, 0.0)
     return np.clip(scaled, 0.0, 1.0)
 

@@ -1,8 +1,13 @@
-"""Edit the text header of a saved checkpoint or cache, keeping its payload."""
+"""Find and edit the text header of a saved checkpoint or cache, keeping its payload."""
 
 from __future__ import annotations
 
 from typing import Callable
+
+
+def payload_start(data: bytes) -> int:
+    """The offset of the first payload byte of a saved file's ``data``."""
+    return data.index(b"\n", data.index(b"\npayload ") + 1) + 1
 
 
 def edit_header(path, edit: Callable[[list[str]], list[str]]) -> list[str]:
@@ -11,7 +16,7 @@ def edit_header(path, edit: Callable[[list[str]], list[str]]) -> list[str]:
     line last). The payload bytes after the header are kept as they are.
     Returns the lines as read."""
     data = path.read_bytes()
-    end = data.index(b"\n", data.index(b"\npayload ") + 1) + 1
+    end = payload_start(data)
     lines = data[:end].decode("ascii").split("\n")[:-1]
     path.write_bytes(("\n".join(edit(list(lines))) + "\n").encode("utf-8") + data[end:])
     return lines

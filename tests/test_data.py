@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpat import cache, data, synthetic
@@ -170,6 +170,7 @@ def test_minmax_fit_rejects_a_range_beyond_float64():
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+@example(a=0.0, b=2.225073858507203e-309, v=1.0)  # a subnormal span
 def test_minmax_apply_always_lands_in_unit_interval(a, b, v):
     lo, hi = min(a, b), max(a, b)
     params = data.ScalingParams(v_min=[lo], v_max=[hi])

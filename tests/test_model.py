@@ -14,7 +14,7 @@ from scipy.special import expit
 from lpat import cache, data, model
 from lpat import checkpoint as ckpt
 
-from headers import edit_header
+from headers import edit_header, payload_start
 from oracles import central_diff_grad, fd_grad_wrt, lstm_step, rel_error
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -740,14 +740,10 @@ def test_a_header_line_that_is_not_ascii_is_refused_naming_it(tmp_path, fmt):
         load(path)
 
 
-def _payload_start(data: bytes) -> int:
-    return data.index(b"\n", data.index(b"\npayload ") + 1) + 1
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("cut, message", [
     (lambda data: data[:-1], lambda n, data: f"cut short: the payload holds {n - 1} of its {n} bytes"),
-    (lambda data: data[:_payload_start(data)],
+    (lambda data: data[:payload_start(data)],
      lambda n, data: f"cut short: the payload holds 0 of its {n} bytes"),
     (lambda data: data + b"\0", lambda n, data: "1 bytes follow the payload"),
     (lambda data: data + data, lambda n, data: f"{len(data)} bytes follow the payload"),  # cat a a
@@ -757,7 +753,7 @@ def test_a_payload_of_the_wrong_length_is_refused(tmp_path, fmt, cut, message):
     path = tmp_path / "file"
     save(path)
     data = path.read_bytes()
-    n = len(data) - _payload_start(data)
+    n = len(data) - payload_start(data)
     path.write_bytes(cut(data))
     with pytest.raises(error, match=re.escape(f"{path}: {message(n, data)}")):
         load(path)
@@ -780,7 +776,7 @@ def test_a_payload_line_that_does_not_read_as_written_is_refused(tmp_path, fmt, 
     path = tmp_path / "file"
     save(path)
     data = path.read_bytes()
-    n = len(data) - _payload_start(data)
+    n = len(data) - payload_start(data)
 
     def bad(lines):
         crc = lines[-1].split()[2]
@@ -803,7 +799,7 @@ def test_a_crc32_mismatch_is_refused(tmp_path, fmt):
     data[-3] ^= 0x10
     path.write_bytes(bytes(data))
     lines = edit_header(path, lambda lines: lines)
-    crc = "{:08x}".format(zlib.crc32(data[_payload_start(data):]))
+    crc = "{:08x}".format(zlib.crc32(data[payload_start(data):]))
     with pytest.raises(error, match=re.escape(
             f"{path}: the payload's CRC32 is {crc}, line {len(lines)} gives "
             f"{lines[-1].split()[2]}")):
@@ -850,7 +846,7 @@ def test_one_changed_byte_is_refused_or_changes_at_most_one_value(tmp_path_facto
     want = _items(fmt, load(path))
     data = bytearray(path.read_bytes())
     at = int(where * len(data))
-    in_payload = at >= _payload_start(data) and data[at] != value
+    in_payload = at >= payload_start(data) and data[at] != value
     data[at] = value
     path.write_bytes(bytes(data))
     try:
