@@ -20,8 +20,9 @@ name and a window that is not plain digits are refused, and a ``window``,
 ``section`` or ``sample`` line must read exactly as ``save_split`` writes
 the values read from it. Bad labels, counts, first rows and windows are
 rejected naming their line, a non-finite value naming its section and row,
-and a ``vmin`` above its ``vmax`` too. Caches of versions 1 to 3 are not
-read: rebuild them with ``lpat prep``.
+and a ``vmin`` above its ``vmax`` or a range beyond float64 naming the
+payload line. Caches of versions 1 to 3 are not read: rebuild them with
+``lpat prep``.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ def load_split(path) -> DatasetSplit:
         **{f"section {name}": (n_rows, n) for name, (n_rows, _) in sections.items()}})
     try:
         scaling = ScalingParams(v_min, v_max)
-    except ValueError as exc:  # both rows are finite: a v_min above its v_max
-        raise CacheFormatError(f"{path}: vmin and vmax: {exc}") from None
+    except ValueError as exc:  # both rows are finite: v_min above v_max, or a wide range
+        raise CacheFormatError(f"{path}: vmin and vmax: {exc} (the payload under "
+                               f"line {f.line_no})") from None
     split = DatasetSplit(train_labeled=[], train_unlabeled=[], valid=[], test=[],
                          scaling=scaling, attrs=attrs, window=window)
     for (name, (_, heads)), block in zip(sections.items(), blocks):

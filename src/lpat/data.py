@@ -67,6 +67,11 @@ class DriveTimeline:
 
 @dataclass
 class ScalingParams:
+    """Per-attribute min-max extrema. Raises ValueError unless both are
+    finite, ``v_min <= v_max``, and each range ``v_max - v_min`` is finite
+    in float64: scaling by an overflowing range would turn finite values
+    into NaN."""
+
     v_min: np.ndarray
     v_max: np.ndarray
 
@@ -77,6 +82,13 @@ class ScalingParams:
             raise ValueError("v_min and v_max must be finite")
         if np.any(self.v_min > self.v_max):
             raise ValueError("v_min must not exceed v_max")
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(~np.isfinite(self.v_max - self.v_min))
+        if wide.size:
+            j = int(wide[0])
+            raise ValueError(f"attribute {j + 1} of {self.v_min.size} spans "
+                             f"{float(self.v_min.flat[j])!r} to "
+                             f"{float(self.v_max.flat[j])!r}, beyond the float64 range")
 
 
 @dataclass
@@ -242,23 +254,13 @@ def clean_and_aggregate(timelines, window: int) -> tuple[list[DriveTimeline], Cl
 # -------------------------------------------------------------------- scaling
 
 def minmax_fit(timelines) -> ScalingParams:
-    """Per-attribute extrema over every record of the given timelines.
-
-    Raises ValueError when an attribute's range ``v_max - v_min`` overflows
-    float64: scaling by it would turn finite values into NaN.
-    """
+    """Per-attribute extrema over every record of the given timelines;
+    ``ScalingParams`` refuses a range that overflows float64."""
     rows = [rec.attrs for tl in timelines for rec in tl.records]
     if not rows:
         raise ValueError("cannot fit scaling on zero records")
     arr = np.array(rows, dtype=float)
-    v_min, v_max = arr.min(axis=0), arr.max(axis=0)
-    with np.errstate(over="ignore"):
-        wide = np.flatnonzero(~np.isfinite(v_max - v_min))
-    if wide.size:
-        j = int(wide[0])
-        raise ValueError(f"attribute {j + 1} of {len(v_min)} spans {float(v_min[j])!r} "
-                         f"to {float(v_max[j])!r}, beyond the float64 range")
-    return ScalingParams(v_min=v_min, v_max=v_max)
+    return ScalingParams(v_min=arr.min(axis=0), v_max=arr.max(axis=0))
 
 
 def minmax_apply(values, params: ScalingParams) -> np.ndarray:

@@ -251,9 +251,11 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
     ``tanh_c`` and ``h`` hold only the final state.
 
     The gate pre-activations ``x W^T + b`` come from one (w*B, d) GEMM into
-    a (w, B, 4q) region, except in a pass without ``history`` over B >= 2
-    windows: there each step forms its own into the one (B, 4q) region, and
-    the tests pin its rows to the one GEMM's bit for bit. A single window
+    a (w, B, 4q) region, its input a time-major copy of ``x`` written where
+    ``c``, ``tanh_c`` and ``h`` will go (that region holds at least w*B*d
+    values), except in a pass without ``history`` over B >= 2 windows:
+    there each step forms its own into the one (B, 4q) region, and the
+    tests pin its rows to the one GEMM's bit for bit. A single window
     keeps the one GEMM, because numpy runs a one-row product as GEMV, whose
     bits differ."""
     B, w, d = x.shape
@@ -261,13 +263,16 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
     per_step = not history and B > 1
     gate_depth = 1 if per_step else w  # steps of gates held
     depth = w if history else 1        # steps of c, tanh_c and h held
-    n_gates = gate_depth * B * 4 * q
-    block = np.empty(n_gates + 3 * depth * B * q, dtype=x.dtype)
+    n_gates, n_state = gate_depth * B * 4 * q, 3 * depth * B * q
+    # the state region also holds the one GEMM's time-major input copy,
+    # which is dead before the first step writes c, tanh_c or h
+    block = np.empty(n_gates + max(n_state, 0 if per_step else w * B * d), dtype=x.dtype)
     gates = block[:n_gates].reshape(gate_depth, B, 4 * q)
-    c, tanh_c, h = block[n_gates:].reshape(3, depth, B, q)
+    c, tanh_c, h = block[n_gates:n_gates + n_state].reshape(3, depth, B, q)
     if not per_step:
-        np.matmul(np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(w * B, d), p.W.T,
-                  out=gates.reshape(w * B, 4 * q))
+        x_tm = block[n_gates:n_gates + w * B * d].reshape(w, B, d)
+        np.copyto(x_tm, x.transpose(1, 0, 2))
+        np.matmul(x_tm.reshape(w * B, d), p.W.T, out=gates.reshape(w * B, 4 * q))
         gates += p.b
     rec, fc = np.empty((B, 4 * q), dtype=x.dtype), np.empty((B, q), dtype=x.dtype)
     with np.errstate(over="ignore"):

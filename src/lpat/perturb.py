@@ -22,15 +22,16 @@ power-iteration step only while ``xi`` is small next to the activation it
 nudges and next to ``epsilon``; at larger ``xi`` the probe measures a finite
 jump, not the local curvature.
 
-Precision: noise, ``unit_rows`` and ``scale_rows`` are float64; the nudge
-is added, and each returned tensor is given, in the dtype of the activation
-it perturbs. On a float32 network (every training pass) ``xi`` also has a
-floor: the nudge must stand clear of float32 rounding in the activation and
-in the output. On a 3-epoch benchmark-size network, median activation norms
-1.7 to 4.4, the per-window cosine of float32 to float64 directions was at
-least 0.9995 at ``xi`` >= 0.1 and 0.978 at 0.01; at 0.001 the median stayed
-above 0.9997 but single windows fell to 0.66, and at 1e-4 directions were
-lost (cosines near 0, or no gradient at all).
+Precision: noise, ``unit_rows`` and ``scale_rows`` are float64. The nudge
+``xi * e`` is formed in float64 and handed to the nudged pass already cast
+to the dtype of the activation it perturbs, and each returned tensor is
+given in that dtype too. On a float32 network (every training pass)
+``xi`` also has a floor: the nudge must stand clear of float32 rounding in
+the activation and in the output. On a 3-epoch benchmark-size network,
+median activation norms 1.7 to 4.4, the per-window cosine of float32 to
+float64 directions was at least 0.9995 at ``xi`` >= 0.1 and 0.978 at 0.01;
+at 0.001 the median stayed above 0.9997 but single windows fell to 0.66,
+and at 1e-4 directions were lost (cosines near 0, or no gradient at all).
 """
 
 from __future__ import annotations
@@ -94,23 +95,29 @@ def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(E: np.ndarray) -> np.ndarray:
-    """Normalize each sample's flattened tensor to unit L2 norm."""
+    """Normalize each sample's flattened tensor of the contiguous array
+    ``E`` to unit L2 norm, in place; returns ``E``."""
     flat = E.reshape(E.shape[0], -1)
     norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    safe = np.where(norms < NORM_FLOOR, 1.0, norms)
-    return (flat / safe).reshape(E.shape)
+    flat /= np.where(norms < NORM_FLOOR, 1.0, norms)
+    return E
 
 
 def scale_rows(G: np.ndarray, eps: float) -> np.ndarray:
-    """Per-sample eps * g/||g||, exactly zero rows where ||g|| < 1e-12 or
-    eps == 0. Negative eps flips the direction (supervised sign)."""
-    flat = np.asarray(G, dtype=float).reshape(G.shape[0], -1)
-    out = np.zeros_like(flat)
-    if eps != 0.0:
-        norms = np.linalg.norm(flat, axis=1)
-        ok = norms >= NORM_FLOOR
-        out[ok] = (eps / norms[ok])[:, None] * flat[ok]
-    return out.reshape(G.shape)
+    """Per-sample eps * g/||g|| as a new float64 array, exactly +0.0 rows
+    where ||g|| < 1e-12 or eps == 0. Negative eps flips the direction
+    (supervised sign). One float64 copy of ``G`` is scaled in place."""
+    if eps == 0.0:
+        return np.zeros(G.shape)
+    out = np.array(G, dtype=float, order="C")
+    flat = out.reshape(G.shape[0], -1)
+    norms = np.linalg.norm(flat, axis=1)
+    ok = norms >= NORM_FLOOR
+    factor = np.zeros_like(norms)
+    factor[ok] = eps / norms[ok]
+    flat *= factor[:, None]
+    flat[~ok] = 0.0  # 0 * a negative entry is -0.0
+    return out
 
 
 def _noise_rng(seed: int, epoch: int, batch_index: int, point: int):
@@ -134,9 +141,13 @@ def compute_perturbation_tensors(net: model.Network, base: model.Activations,
     so its ``base`` must be a full ``ForwardCache``. The virtual one ignores
     ``labels`` and reads only the ``Activations``: one power-iteration step
     per point, its KL gradient evaluated at r = xi * e only (its value and
-    gradient at r = 0 both vanish). Each nudged pass is freed before the
-    next one runs, so the LSTM internals of at most one probe are alive at a
-    time.
+    gradient at r = 0 both vanish). Each probe frees its arrays at their
+    last reader: the float64 noise once the nudge is cast, the nudge once
+    the nudged pass has added it, and the nudged pass (its LSTM internals
+    and activations) and the other points' gradients once the gradient at
+    the probed point is known, before ``scale_rows`` makes its float64 copy.
+    So the LSTM internals of at most one probe are alive at a time, and none
+    while a probe's result is scaled.
     """
     points = config.points
     if config.mode == "none":
@@ -161,10 +172,14 @@ def compute_perturbation_tensors(net: model.Network, base: model.Activations,
     for m in points:
         rng = _noise_rng(seed, epoch, batch_index, m)
         e = unit_rows(rng.standard_normal(base.xhat[m].shape))
-        nudged = model.resume_forward(net, base, m, config.xi * e)
-        dlogits = model.kl_dlogits(base.probs, nudged.probs)
-        _, act = model.backward_batch(net, nudged, dlogits,
-                                      want_param_grads=False, down_to=m)
-        out[m] = scale_rows(act[m], config.epsilon).astype(act[m].dtype, copy=False)
-        del nudged, act
+        e *= config.xi
+        nudge = e.astype(base.xhat[m].dtype, copy=False)  # the cast inject makes
+        del e
+        nudged = model.resume_forward(net, base, m, nudge)
+        del nudge
+        g = model.backward_batch(net, nudged, model.kl_dlogits(base.probs, nudged.probs),
+                                 want_param_grads=False, down_to=m)[1][m]
+        del nudged  # its LSTM internals, before scale_rows's float64 copy
+        out[m] = scale_rows(g, config.epsilon).astype(g.dtype, copy=False)
+        del g
     return out

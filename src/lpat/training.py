@@ -12,8 +12,13 @@ parameter backward, added to step 3's gradients: together the gradient of
 total = nll + lambda * lap; (6) RMSProp update, unless the loss is not
 finite, which stops training with NonFiniteLossError.
 
-Each pass's cache is freed after its last reader, so at most one pass's
-LSTM internals are alive at a time, and none when a new LSTM pass starts.
+Each array of a step is freed after its last reader, so at most one pass's
+LSTM internals are alive at a time, and none when a new LSTM pass starts:
+the clean pass's LSTM internals and its activation gradients go after its
+parameter backward; its activations after the virtual probes, keeping only
+its output; each probe's float64 noise, nudge and nudged pass inside the
+probe (see ``perturb.compute_perturbation_tensors``); and the perturbation
+tensors once the perturbed forward has added them.
 
 Precision: every pass of steps 2-5 runs in ``TRAIN_DTYPE`` (float32) on a
 copy of the float64 master network made at the start of the step, on
@@ -96,14 +101,27 @@ def rmsprop_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                  acc: dict[str, np.ndarray], lr: float) -> None:
     """acc <- rho*acc + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(acc)+delta).
 
-    Updates params and acc in place; every parameter needs a gradient entry.
+    Updates the float64 params and acc in place; every parameter needs a
+    gradient entry.
     """
+    # two float64 scratch arrays that every parameter reuses, filled operation
+    # by operation in the formula's order, so every result rounds as the
+    # formula's would
+    size = max((p.size for p in params.values()), default=0)
+    t_all, u_all = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         a = acc[name]
+        t, u = t_all[:p.size].reshape(p.shape), u_all[:p.size].reshape(p.shape)
         a *= RMSPROP_RHO
-        a += (1.0 - RMSPROP_RHO) * g * g
-        p -= lr * g / (np.sqrt(a) + RMSPROP_DELTA)
+        np.multiply(g, 1.0 - RMSPROP_RHO, out=t)
+        t *= g
+        a += t
+        np.multiply(g, lr, out=t)
+        np.sqrt(a, out=u)
+        u += RMSPROP_DELTA
+        t /= u
+        p -= t
 
 
 @dataclass
@@ -194,24 +212,29 @@ def _batch_gradients(net: model.Network, Xb: np.ndarray, yb: np.ndarray,
 
     dlogits = np.zeros_like(cache.probs)
     dlogits[:n_lab] = model.nll_dlogits(cache.probs[:n_lab], yb) / n_lab
-    grads, _ = model.backward_batch(net, cache, dlogits)
-    # nothing below reads the clean LSTM internals: free them before the
-    # probes and the perturbed pass run the LSTM again
+    # the parameter gradients alone: nothing below reads the clean pass's
+    # activation gradients or LSTM internals, so free them before the probes
+    # and the perturbed pass run the LSTM again
+    grads = model.backward_batch(net, cache, dlogits)[0]
     clean = cache.activations()
     del cache
 
     if pcfg.mode == "virtual_at":
         tensors = perturb.compute_perturbation_tensors(
             net, clean, None, pcfg, seed=seed, epoch=epoch, batch_index=b)
+    # the perturbed pass starts from Xb: only the clean output is read below
+    p_clean = clean.probs
+    del clean
 
     if tensors:
         pert_cache = model.forward_batch(net, Xb, tensors)
-        lap = lap_loss_from_probs(clean.probs, pert_cache.probs)
+        del tensors
+        lap = lap_loss_from_probs(p_clean, pert_cache.probs)
         loss = nll + pcfg.lam * lap
         if pcfg.lam != 0.0:
-            dl_pert = (pcfg.lam * model.kl_dlogits(clean.probs, pert_cache.probs)
+            dl_pert = (pcfg.lam * model.kl_dlogits(p_clean, pert_cache.probs)
                        / Xb.shape[0])
-            grads2, _ = model.backward_batch(net, pert_cache, dl_pert)
+            grads2 = model.backward_batch(net, pert_cache, dl_pert)[0]
             for k in grads:
                 grads[k] += grads2[k]
 

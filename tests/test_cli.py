@@ -486,6 +486,8 @@ def test_predict_non_finite_cell_errors_naming_the_line(fixture_pipeline, capsys
     ({"vmax": "inf,1e9"}, "must be finite"),
     ({"vmin": "-inf,0.0"}, "must be finite"),
     ({"vmin": "0.0", "vmax": "1e9"}, "one value for each of the 2 attributes"),
+    ({"vmin": "-1e308,0.0", "vmax": "1e308,1e9"},
+     "attribute 1 of 2 spans -1e+308 to 1e+308, beyond the float64 range"),
     ({"window": "0"}, "window 0 is below 1"),
     ({"attrs": "x,y,z", "vmin": "0,0,0", "vmax": "1,1,1"},
      "attrs lists 3 attributes, the network takes 2"),

@@ -162,6 +162,18 @@ def test_scaling_params_reject_non_finite_extrema(v_min, v_max):
         data.ScalingParams(v_min=v_min, v_max=v_max)
 
 
+@pytest.mark.parametrize("v_min,v_max,attr", [
+    ([-1e308, 0.0], [1e308, 1.0], 1),
+    ([0.0, -np.finfo(float).max], [1.0, np.finfo(float).max], 2),
+])
+def test_scaling_params_reject_a_range_beyond_float64(v_min, v_max, attr):
+    # every extremum finite and v_min <= v_max, but v_max - v_min overflows
+    with pytest.raises(ValueError, match=re.escape(
+            f"attribute {attr} of 2 spans {float(v_min[attr - 1])!r} to "
+            f"{float(v_max[attr - 1])!r}, beyond the float64 range")):
+        data.ScalingParams(v_min=v_min, v_max=v_max)
+
+
 def test_minmax_fit_rejects_a_range_beyond_float64():
     tl = make_timeline("A", 2, lambda i: [1.0, 1.7e308 if i else -1.7e308])
     with pytest.raises(ValueError, match="attribute 2 of 2 spans .* beyond the float64"):
@@ -458,7 +470,8 @@ def test_cache_rejects_bad_magic_and_truncation(tmp_path):
 
 def _special_split():
     """A two-sample split whose values include -0.0, a subnormal and the
-    largest finite floats of both signs."""
+    largest finite floats of both signs; its first attribute's scaling range
+    is the widest finite one, -top to 0."""
     top = np.finfo(float).max
     a = np.array([[-0.0, 5e-324], [top, -top], [0.25, 1.0 / 3.0]])
     b = np.array([[1.0, 0.0], [2.0 ** -1070, 0.5], [0.75, 1e-300]])
@@ -466,7 +479,7 @@ def _special_split():
         train_labeled=[data.Sample(a, 2, "S1", date(2016, 3, 1))],
         train_unlabeled=[], valid=[],
         test=[data.Sample(b, None, "S2", date(2016, 3, 2))],
-        scaling=data.ScalingParams([-top, -0.0], [top, 5e-324]),
+        scaling=data.ScalingParams([-top, -0.0], [0.0, 5e-324]),
         attrs=("smart_5_raw", "smart_9_raw"), window=3)
 
 
@@ -683,6 +696,20 @@ def test_cache_rejects_a_vmin_above_its_vmax(tmp_path):
     cache.save_split(split, path)
     with pytest.raises(cache.CacheFormatError, match=re.escape(
             f"{path}: vmin and vmax: v_min must not exceed v_max")):
+        cache.load_split(path)
+
+
+def test_cache_rejects_a_range_beyond_float64_naming_the_payload_line(tmp_path):
+    split = _special_split()
+    # set after ScalingParams has checked the extrema: -top to top
+    split.scaling.v_max[0] = np.finfo(float).max
+    path = tmp_path / "s.cache"
+    cache.save_split(split, path)
+    # magic, attrs, window, four section and two sample lines, then the payload's
+    top = repr(np.finfo(float).max.item())
+    with pytest.raises(cache.CacheFormatError, match=re.escape(
+            f"{path}: vmin and vmax: attribute 1 of 2 spans -{top} to {top}, beyond "
+            "the float64 range (the payload under line 10)")):
         cache.load_split(path)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,44 @@ def test_kl_rows_matches_scalar_version():
     rows = perturb.kl_rows(P, Q)
     for i in range(16):
         assert rows[i] == pytest.approx(kl_divergence(P[i], Q[i]), rel=1e-12)
+
+
+# --------------------------------------------------------------- scale_rows
+
+# rows whose squared entries sum, exactly in any order, to a perfect square
+EXACT_ROWS = {5.0: [[3, 4, 0], [0, 0, 0]], 7.0: [[2, 3, 0], [-6, 0, 0]],
+              0.75: [[-0.25, 0.5, 0], [0, -0.5, 0]], 6.0: [[-2, -4, -4], [0, 0, 0]]}
+
+
+@pytest.mark.parametrize("eps", [2.5, -2.5, 0.0])
+def test_scale_rows_is_eps_over_the_norm_times_g_and_positive_zero_below_the_floor(eps):
+    norms = list(EXACT_ROWS)
+    G = np.array([*EXACT_ROWS.values(),
+                  [[-1e-13, 0, 0], [0, 0, -0.0]],   # norm below NORM_FLOOR
+                  [[-0.0, 0, 0], [0, -0.0, 0]]],    # norm 0
+                 dtype=np.float32)
+    out = perturb.scale_rows(G, eps)
+    assert out.dtype == np.float64 and out.shape == G.shape
+    for i, norm in enumerate(norms):
+        want = (eps / norm) * G[i].astype(np.float64) if eps else np.zeros(G[i].shape)
+        assert out[i].tobytes() == want.tobytes()
+    assert not np.signbit(out[len(norms):]).any()
+    assert G[0].tolist() == EXACT_ROWS[5.0]  # the input is left as it was
+
+
+def test_scale_rows_works_in_one_float64_copy():
+    """scale_rows holds one float64 copy of its input, plus the one
+    temporary of ``np.linalg.norm``, never four."""
+    G = np.random.default_rng(0).normal(size=(128, 20, 128)).astype(np.float32)
+    copy_bytes = G.size * 8
+    tracemalloc.start()
+    try:
+        out = perturb.scale_rows(G, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == copy_bytes
+    assert peak < 2.5 * copy_bytes
 
 
 # ------------------------------------------------------------------- virtual

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -135,6 +136,23 @@ def test_rmsprop_repeated_identical_gradients_shrink_the_step():
     training.rmsprop_step(params, {"w": np.array([1.0])}, state, lr=0.001)
     second = abs(params["w"][0] - before)
     assert second < first
+
+
+def test_rmsprop_step_rounds_as_its_formula():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        params = {"w": rng.normal(size=(40, 30)), "b": rng.normal(size=30)}
+        acc = {k: rng.uniform(size=v.shape) for k, v in params.items()}
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=v.shape)
+                 for k, v in params.items()}
+        want_acc = {k: a * training.RMSPROP_RHO + (1.0 - training.RMSPROP_RHO)
+                    * grads[k] * grads[k] for k, a in acc.items()}
+        want = {k: p - 0.003 * grads[k] / (np.sqrt(want_acc[k]) + training.RMSPROP_DELTA)
+                for k, p in params.items()}
+        training.rmsprop_step(params, grads, acc, lr=0.003)
+        for k in params:
+            assert acc[k].tobytes() == want_acc[k].tobytes()
+            assert params[k].tobytes() == want[k].tobytes()
 
 
 # ------------------------------------------------------------------ training
@@ -414,6 +432,33 @@ def test_no_lstm_pass_starts_while_another_passes_internals_are_alive(
     assert len(passes) == per_step * len(updates)
     assert inference_passes == [len(data.valid)] * epochs
     assert max(alive_at_start) == 0
+
+
+def test_a_virtual_step_peaks_less_than_one_pass_of_lstm_state_above_a_plain_step():
+    """The virtual probes and the perturbed pass run while the clean pass's
+    LSTM internals, its activation gradients and each probe's nudged pass
+    are freed, so a virtual_at step over every point peaks less than one
+    pass's c, tanh_c and h (3 * w * B * q values) above a plain step, at
+    B = 128, w = 20 and the default widths."""
+    cfg = training.TrainConfig()
+    B, w, q = cfg.batch_size, 20, cfg.lstm_units
+    net = model.init_network(8, cfg.hidden1, cfg.hidden2, q,
+                             seed=0).astype(training.TRAIN_DTYPE)
+    rng = np.random.default_rng(0)
+    Xb = rng.uniform(size=(B, w, 8)).astype(training.TRAIN_DTYPE)
+    yb = rng.integers(0, 3, size=B // 2)
+
+    def peak_bytes(mode):
+        pcfg = perturb.PerturbationConfig(mode=mode, layers="all")
+        tracemalloc.start()
+        try:
+            training._batch_gradients(net, Xb, yb, pcfg, 0, 1, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    extra = peak_bytes("virtual_at") - peak_bytes("none")
+    assert extra < 3 * w * B * q * np.dtype(training.TRAIN_DTYPE).itemsize
 
 
 @pytest.mark.parametrize("mode,n_unlabeled", [("none", 8), ("supervised_at", 0),
