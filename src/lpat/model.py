@@ -40,8 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-ALL_POINTS = (0, 1, 2, 3, 4)
-
 # windows per forward in chunked inference
 PREDICT_CHUNK = 512
 
@@ -207,65 +205,32 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _lstm_cell(U: np.ndarray, g: np.ndarray, h_prev: Optional[np.ndarray],
-               c_prev: Optional[np.ndarray], c: np.ndarray, tanh_c: np.ndarray,
-               h: np.ndarray, rec: np.ndarray, fc: np.ndarray) -> None:
-    """One step of the gate math over a (B, .) block, in place.
-
-    ``g`` holds the step's input pre-activations and leaves holding the
-    activated gates i, f, o, j; ``c``, ``tanh_c`` and ``h`` receive the new
-    state. ``h_prev`` and ``c_prev`` are None at step 0 (h_0 = c_0 = 0: no
-    recurrent or forget term), and may be the very arrays ``h`` and ``c``:
-    both are read, into the scratch blocks ``rec`` (B, 4q) and ``fc``
-    (B, q), before either is written.
-
-    The sigmoid is ``1 / (1 + exp(-a))`` on the (B, 3q) block, in place; a
-    pre-activation below about -709 overflows ``exp`` to inf and gives
-    exactly 0, so callers run it under ``np.errstate(over="ignore")``.
-    """
-    q = U.shape[1]
-    if h_prev is not None:
-        np.matmul(h_prev, U.T, out=rec)
-        g += rec
-    s = g[:, :3 * q]
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    np.reciprocal(s, out=s)
-    np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
-    if c_prev is not None:
-        np.multiply(g[:, q:2 * q], c_prev, out=fc)
-    np.multiply(g[:, :q], g[:, 3 * q:], out=c)
-    if c_prev is not None:
-        c += fc
-    np.tanh(c, out=tanh_c)
-    np.multiply(g[:, 2 * q:3 * q], tanh_c, out=h)
-
-
 def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
-    """Run the LSTM over (B, w, d) inputs; returns the gates, ``c``,
-    ``tanh_c`` and ``h`` as (B, ., .) views of time-major storage, so each
-    step reads and writes contiguous (B, .) blocks. All four are regions of
-    one block allocated per pass. With ``history`` each step keeps its own
-    blocks; without it every step overwrites the same ones, so ``c``,
-    ``tanh_c`` and ``h`` hold only the final state.
+    """Run the LSTM over (B, w, d) inputs; returns the activated gates
+    i, f, o, j, ``c``, ``tanh_c`` and ``h`` as (B, ., .) views of
+    time-major storage, so each step reads and writes contiguous (B, .)
+    blocks. With ``history`` each step keeps its own blocks; without it
+    every step overwrites the same ones, so ``c``, ``tanh_c`` and ``h`` hold
+    only the final state. Each special case has its reason:
 
-    The gate pre-activations ``x W^T + b`` come from one (w*B, d) GEMM into
-    a (w, B, 4q) region, its input a time-major copy of ``x`` written where
-    ``c``, ``tanh_c`` and ``h`` will go (that region holds at least w*B*d
-    values), except in a pass without ``history`` over B >= 2 windows:
-    there each step forms its own into the one (B, 4q) region, and the
-    tests pin its rows to the one GEMM's bit for bit. A single window
-    keeps the one GEMM, because numpy runs a one-row product as GEMV, whose
-    bits differ."""
+    - one block per pass holds all four: separate arrays cost about ten
+      times the minor page faults of a training epoch;
+    - the gate pre-activations ``x W^T + b`` are one (w*B, d) GEMM, its
+      time-major input copy in the state region, which is dead before the
+      first step writes it: a copy outside the block raised the training
+      run's peak RSS by 1.8 MB;
+    - a pass without ``history`` over B >= 2 windows forms each step's
+      (B, 4q) pre-activations into one reused region instead:
+      ``predict_proba``'s peak fell from 43.8 to 6.1 MB at (310, 20, 8);
+    - a single window keeps the one GEMM, which keeps its bits equal to
+      ``forward_batch``'s at the tested widths (numpy runs a one-row
+      product as GEMV, whose bits differ)."""
     B, w, d = x.shape
     q = p.units
     per_step = not history and B > 1
     gate_depth = 1 if per_step else w  # steps of gates held
     depth = w if history else 1        # steps of c, tanh_c and h held
     n_gates, n_state = gate_depth * B * 4 * q, 3 * depth * B * q
-    # the state region also holds the one GEMM's time-major input copy,
-    # which is dead before the first step writes c, tanh_c or h
     block = np.empty(n_gates + max(n_state, 0 if per_step else w * B * d), dtype=x.dtype)
     gates = block[:n_gates].reshape(gate_depth, B, 4 * q)
     c, tanh_c, h = block[n_gates:n_gates + n_state].reshape(3, depth, B, q)
@@ -274,7 +239,8 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
         np.copyto(x_tm, x.transpose(1, 0, 2))
         np.matmul(x_tm.reshape(w * B, d), p.W.T, out=gates.reshape(w * B, 4 * q))
         gates += p.b
-    rec, fc = np.empty((B, 4 * q), dtype=x.dtype), np.empty((B, q), dtype=x.dtype)
+    # the sigmoid is 1 / (1 + exp(-a)) in place: a pre-activation below
+    # about -709 overflows exp to inf and gives exactly 0
     with np.errstate(over="ignore"):
         for t in range(w):
             if per_step:
@@ -283,9 +249,28 @@ def _lstm_forward(p: LstmParams, x: np.ndarray, history: bool = True):
                 g += p.b
             else:
                 g = gates[t]
+            # without history h[s - 1] and c[s - 1] are h[s] and c[s]: h is
+            # read before anything is written, and c element by element as
+            # the forget term overwrites it. h_0 = c_0 = 0, so step 0 has no
+            # recurrent or forget term
             s = t if history else 0
-            h_prev, c_prev = (h[s - 1], c[s - 1]) if t > 0 else (None, None)
-            _lstm_cell(p.U, g, h_prev, c_prev, c[s], tanh_c[s], h[s], rec, fc)
+            if t > 0:
+                g += h[s - 1] @ p.U.T
+            sig = g[:, :3 * q]
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
+            np.tanh(g[:, 3 * q:], out=g[:, 3 * q:])
+            if t > 0:
+                np.multiply(g[:, q:2 * q], c[s - 1], out=c[s])
+                # tanh_c[s] holds i * j until tanh(c) overwrites it
+                np.multiply(g[:, :q], g[:, 3 * q:], out=tanh_c[s])
+                c[s] += tanh_c[s]
+            else:
+                np.multiply(g[:, :q], g[:, 3 * q:], out=c[s])
+            np.tanh(c[s], out=tanh_c[s])
+            np.multiply(g[:, 2 * q:3 * q], tanh_c[s], out=h[s])
     return tuple(a.transpose(1, 0, 2) for a in (gates, c, tanh_c, h))
 
 
@@ -401,13 +386,19 @@ def predict_proba(net: Network, X: np.ndarray) -> np.ndarray:
 
     This is the inference pass. It runs the LSTM of ``_folded_lstm(net)``,
     formed once per call, on the raw attributes, so no dense-1 or dense-2
-    activation is built. Its probabilities are bit for bit ``forward_batch``
-    on the network with identity dense-1 and dense-2 and that LSTM, and
-    within rounding (about 2e-16 at default widths) of ``forward_batch`` on
-    ``net``. It keeps no activations and no ForwardCache, and its LSTM keeps
-    one (B, q) block each of ``c``, ``tanh_c`` and ``h`` instead of one per
-    step, and forms each step's (B, 4q) input pre-activations in one reused
-    block; only a single-window chunk forms them for the whole window.
+    activation is built. At every width its probabilities agree with
+    ``forward_batch`` on ``net`` within 1e-12 (about 2e-16 at default
+    widths), with the same class. At the tested widths (n = 2 and 8) they
+    are also bit for bit ``forward_batch`` on the network with identity
+    dense-1 and dense-2 and that LSTM. Wider inputs need not be: BLAS rounds
+    the per-step (B, 4q) input products like the one (w*B)-row GEMM of
+    ``forward_batch`` only at some shapes (at n = 64 or 128 with q = 32, and
+    at n = 128 with q = 4, a quarter to a half of the cases differ, by at
+    most 2.2e-16). It keeps no activations and no ForwardCache, and its LSTM
+    keeps one (B, q) block each of ``c``, ``tanh_c`` and ``h`` instead of
+    one per step, and forms each step's (B, 4q) input pre-activations in one
+    reused block; only a single-window chunk forms them for the whole
+    window.
     """
     lstm = _folded_lstm(net)
     return np.concatenate([_infer(net, lstm, X[lo:lo + PREDICT_CHUNK])

@@ -225,7 +225,7 @@ def test_criterion_4_adversarial_dominance():
     sup = perturb.PerturbationConfig(mode="supervised_at", layers="all", epsilon=eps)
     vat = perturb.PerturbationConfig(mode="virtual_at", layers="all",
                                      epsilon=eps, xi=1.0)
-    gains = {(kind, m): [] for kind in ("sup", "vat") for m in model.ALL_POINTS}
+    gains = {(kind, m): [] for kind in ("sup", "vat") for m in perturb.LAYER_SELECTIONS["all"]}
 
     for batch_idx in range(100):
         idx = rng.integers(0, len(pool), size=16)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from lpat import cache, data, model
+from lpat import cache, data, model, perturb
 from lpat import checkpoint as ckpt
 
 from headers import edit_header, payload_start
@@ -158,7 +158,7 @@ def test_forward_empty_and_zero_perturbations_match_plain():
     })
     for other in (empty, zeros):
         assert np.array_equal(plain.probs, other.probs)
-        for m in model.ALL_POINTS:
+        for m in perturb.LAYER_SELECTIONS["all"]:
             assert np.array_equal(plain.xhat[m], other.xhat[m])
 
 
@@ -195,14 +195,19 @@ def with_biases(net, seed):
     return net
 
 
-def assert_folded_inference(net, X, probs):
-    """(a) ``probs`` are bit for bit ``forward_batch`` on the folded network;
-    (b) they agree with ``forward_batch`` on ``net`` within 1e-12, with the
-    same argmax."""
-    assert np.array_equal(probs, model.forward_batch(folded_network(net), X).probs)
+def assert_near_forward_batch(net, X, probs):
+    """``probs`` agree with ``forward_batch`` on ``net`` within 1e-12, with
+    the same argmax."""
     unfolded = model.forward_batch(net, X).probs
     np.testing.assert_allclose(probs, unfolded, rtol=0, atol=1e-12)
     assert np.array_equal(probs.argmax(axis=1), unfolded.argmax(axis=1))
+
+
+def assert_folded_inference(net, X, probs):
+    """(a) ``probs`` are bit for bit ``forward_batch`` on the folded network;
+    (b) ``assert_near_forward_batch``."""
+    assert np.array_equal(probs, model.forward_batch(folded_network(net), X).probs)
+    assert_near_forward_batch(net, X, probs)
 
 
 @pytest.mark.parametrize("widths", WIDTHS.values(), ids=WIDTHS.keys())
@@ -224,6 +229,23 @@ def test_predict_proba_is_the_forward_batch_output_bit_for_bit(widths):
         model.predict_proba(net, np.zeros((1, 3, n + 1)))
     with pytest.raises(model.ShapeError):
         model.predict_proba(net, np.zeros((1, 3 * n)))
+
+
+@pytest.mark.parametrize("n", (64, 128))
+@pytest.mark.parametrize("q", (4, 32))
+def test_predict_proba_agrees_with_forward_batch_at_wide_inputs(n, q):
+    """At these widths the per-step input rows of the inference pass need
+    not round like the training pass's one GEMM, so only the agreement with
+    ``forward_batch`` on ``net`` is pinned: within 1e-12, same class."""
+    net = with_biases(model.init_network(n, 16, 16, q, seed=9), 9)
+    rng = np.random.default_rng(9)
+    for B in (1, 2, 3, 7, 64, 310):
+        for w in (2, 5, 20):
+            X = rng.uniform(size=(B, w, n))
+            try:
+                assert_near_forward_batch(net, X, model.predict_proba(net, X))
+            except AssertionError as exc:
+                raise AssertionError(f"B={B}, w={w}") from exc
 
 
 def test_predict_proba_runs_each_chunk_as_forward_batch_would():
@@ -469,7 +491,7 @@ def test_a_float32_network_runs_every_pass_in_float32(monkeypatch):
     monkeypatch.setattr(model, "np", spy)
     cache = model.forward_batch(net, X, perts)
     arrays = pass_arrays(cache, *model.backward_batch(net, cache, dlogits))
-    for m in model.ALL_POINTS:
+    for m in perturb.LAYER_SELECTIONS["all"]:
         resumed = model.resume_forward(net, cache, m, perts[m])
         arrays += pass_arrays(resumed, *model.backward_batch(
             net, resumed, dlogits, want_param_grads=False, down_to=m))

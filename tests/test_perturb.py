@@ -171,7 +171,7 @@ def test_virtual_norm_contract():
     eps = 3.5
     tensors = perturb.compute_perturbation_tensors(net, model.forward_batch(net, X), None,
                                                    vat_cfg(epsilon=eps), seed=7)
-    assert set(tensors) == set(model.ALL_POINTS)
+    assert set(tensors) == set(perturb.LAYER_SELECTIONS["all"])
     for i in range(len(X)):
         for t in tensors.values():
             norm = np.linalg.norm(t[i].ravel())
@@ -264,7 +264,7 @@ def test_float32_virtual_probes_keep_the_float64_direction(xi):
         net, model.forward_batch(net, X.astype(np.float64)), None, cfg, seed=7)
     t32 = perturb.compute_perturbation_tensors(
         net32, model.forward_batch(net32, X), None, cfg, seed=7)
-    for m in model.ALL_POINTS:
+    for m in perturb.LAYER_SELECTIONS["all"]:
         assert t32[m].dtype == np.float32
         a, b = (t[m].reshape(len(X), -1).astype(np.float64) for t in (t64, t32))
         cos = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))

@@ -297,7 +297,7 @@ def test_training_step_gradient_is_that_of_nll_plus_lambda_lap(monkeypatch, mode
     net, X = net.astype(np.float64), X.astype(np.float64)
     tensors = {m: t.astype(np.float64) for m, t in tensors.items()}
     n_lab = len(y)
-    assert sorted(tensors) == list(model.ALL_POINTS)
+    assert sorted(tensors) == list(perturb.LAYER_SELECTIONS["all"])
     p_ref = model.forward_batch(net, X).probs
 
     def nll():
